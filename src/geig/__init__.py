@@ -34,7 +34,7 @@ from .lobpcg import (
     lobpcg,
 )
 from .multigrid import MgParams, mg, mg_solve, precondition
-from .sparse import SparseOperator, dense_sym_geig, direct_solve, galerkin_triple, spmv
+from .sparse import SparseOperator, dense_sym_geig, galerkin_triple, spmv
 from .transform import GambletDecomposition, transform
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "spmv",
     "galerkin_triple",
     "dense_sym_geig",
-    "direct_solve",
     "Grid",
     "CoefficientField",
     "assemble",

@@ -24,21 +24,23 @@ import sys
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
+import scipy
 
-from . import __version__
+from . import __version__, _kernels
 from .correction import McParams, multilevel_correction
 from .diagnostics import decay_fit, measure_contraction, wavelet_condition_numbers
-from .errors import GeigError, NonConvergenceError
+from .errors import GeigError, InvalidArgumentError, NonConvergenceError
 from .fem import (
     CoefficientField,
     Grid,
+    _block_layout,
     assemble,
     gen_anderson,
     gen_checkerboard,
     load_coefficient_file,
     nearest_dyadic_eps,
 )
-from .hierarchy import build_hierarchy
+from .hierarchy import build_hierarchy, cell_depths
 from .lobpcg import (
     GambletPreconditioner,
     IdentityPreconditioner,
@@ -75,16 +77,10 @@ class ExperimentConfig:
 def _coarsest_dim(grid_n, levels):
     if levels == 1:
         return (grid_n - 1) ** 2
-    v = 0
-    n = grid_n
-    while n % 2 == 0:
-        n //= 2
-        v += 1
-    dmax = v - 1 if n == 1 else v
-    return 4 ** (dmax - levels + 2)
+    return 4 ** cell_depths(levels, grid_n)[0]
 
 
-def _normalize_problem(raw, errors):
+def _normalize_problem(raw, grid_n, errors):
     if raw is None:
         errors.append("problem: missing")
         return None
@@ -121,6 +117,11 @@ def _normalize_problem(raw, errors):
     else:
         errors.append(f"problem.kind: unknown kind {kind!r}")
         return None
+    if kind in ("checkerboard", "anderson") and grid_n >= 2:
+        try:
+            _block_layout(out["eps"], Grid(grid_n))
+        except InvalidArgumentError as exc:
+            errors.append(f"problem.eps: {exc}")
     return out
 
 
@@ -185,7 +186,7 @@ def validate_config(source):
     if baseline not in ("gamblet", "geometric"):
         errors.append(f"baseline: must be 'gamblet' or 'geometric', got {baseline!r}")
 
-    problem = _normalize_problem(data.get("problem"), errors)
+    problem = _normalize_problem(data.get("problem"), grid_n, errors)
     transform_opts = _normalize_transform(data.get("transform"), grid_n, errors)
 
     mg_raw = dict(data.get("mg", {}))
@@ -341,7 +342,9 @@ def run_experiment(config):
         "config": config.resolved,
         "seeds": {"problem": config.problem.get("seed"),
                   "lobpcg": config.lobpcg_seed},
-        "threads": os.environ.get("GEIG_THREADS", "1"),
+        "compiled_kernels": _kernels.HAVE_COMPILED_KERNELS,
+        "numpy_version": np.__version__,
+        "scipy_version": scipy.__version__,
         "code_version": __version__,
     }
     _atomic_write(os.path.join(config.output_dir, "manifest.json"),

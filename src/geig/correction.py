@@ -14,6 +14,7 @@ import io
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     DegenerateBasisError,
@@ -21,7 +22,7 @@ from .errors import (
     NonConvergenceError,
 )
 from .multigrid import MgParams, mg
-from .sparse import dense_sym_geig, jacobi_eigh, make_direct_solver, spmv
+from .sparse import dense_sym_geig, make_direct_solver, spmv
 
 _CLUSTER_RTOL = 1e-8
 _BASIS_DROP_TOL = 1e-12
@@ -135,42 +136,40 @@ class ConvergenceRecord:
         return text
 
 
-def m_orthonormalize(V, M_sp, drop_tol=_BASIS_DROP_TOL):
-    """Gram-Schmidt in the M inner product with reorthogonalization.
+def m_orthonormalize(V, M_sp):
+    """M-orthonormal basis of span(V) by SVQB (Stathopoulos and Wu, SISC
+    2002) applied twice.
 
-    Columns whose norm collapses below ``drop_tol`` times their original
-    norm are dropped.  Returns the orthonormal block.
+    Each pass eigendecomposes the column-scaled Gram matrix D V^T M V D
+    (D = diag(V^T M V)^{-1/2}) and keeps the directions whose eigenvalue is
+    at least ``_BASIS_DROP_TOL`` times the largest, so numerically dependent
+    columns are dropped.  The returned columns mix the input columns.
     """
-    kept = []
-    kept_m = []
-    for j in range(V.shape[1]):
-        v = V[:, j].astype(np.float64).copy()
-        norm0 = np.sqrt(max(v @ (M_sp @ v), 0.0))
-        if norm0 == 0.0:
-            continue
-        for _ in range(2):
-            for u_m, u in zip(kept_m, kept):
-                v -= (u_m @ v) * u
-        nrm = np.sqrt(max(v @ (M_sp @ v), 0.0))
-        if nrm <= drop_tol * norm0:
-            continue
-        v /= nrm
-        kept.append(v)
-        kept_m.append(M_sp @ v)
-    if not kept:
-        raise DegenerateBasisError("all trial directions collapsed")
-    return np.column_stack(kept)
+    Z = np.asarray(V, dtype=np.float64)
+    for _ in range(2):
+        G = Z.T @ (M_sp @ Z)
+        d = np.sqrt(np.abs(np.diag(G)))
+        d[d == 0.0] = 1.0
+        theta, U = scipy.linalg.eigh(G / np.outer(d, d))
+        if theta[-1] <= 0.0:
+            raise DegenerateBasisError("all trial directions collapsed")
+        keep = theta > _BASIS_DROP_TOL * theta[-1]
+        Z = Z @ (U[:, keep] / d[:, None] / np.sqrt(theta[keep]))
+    return Z
 
 
-def _subspace_eig(A_k, M_sp, basis):
-    """Rayleigh-Ritz on the span of ``basis``: M-orthonormalize, project the
-    stiffness, diagonalize.  Returns (ritz values, ritz vectors)."""
-    Z = m_orthonormalize(basis, M_sp)
-    AZ = A_k.to_scipy() @ Z
-    G = Z.T @ AZ
-    G = 0.5 * (G + G.T)
-    lams, C = jacobi_eigh(G)
-    return lams, Z @ C
+def rayleigh_ritz(A_sp, M_sp, V):
+    """Rayleigh-Ritz for the pencil (A, M) on span(V).
+
+    Returns every Ritz value in ascending order and the matching
+    M-orthonormal Ritz vectors.  Each coefficient vector has its
+    largest-magnitude component made positive, so the output is
+    deterministic.
+    """
+    Z = m_orthonormalize(V, M_sp)
+    lams, C = scipy.linalg.eigh(Z.T @ (A_sp @ Z))
+    lead = C[np.argmax(np.abs(C), axis=0), np.arange(C.shape[1])]
+    return lams, Z @ (C * np.sign(lead))
 
 
 def _energy_normalize(A_k, X):
@@ -232,10 +231,8 @@ def correct_block(k, lams, Y, dec, mass, params):
         rhs = lams[j] * (M_sp @ Y[:, j])
         v_hat[:, j] = _solve_level(k, rhs, Y[:, j], dec, params)
     basis = np.column_stack([dec.coarse_basis(k), v_hat])
-    ritz, X = _subspace_eig(A_k, M_sp, basis)
-    new_lams = ritz[:nev].copy()
-    X = X[:, :nev]
-    new_lams, X = _match_clusters(new_lams, X, Y, M_sp)
+    ritz, X = rayleigh_ritz(A_k.to_scipy(), M_sp, basis)
+    new_lams, X = _match_clusters(ritz[:nev].copy(), X[:, :nev], Y, M_sp)
     X = _align_signs(Y, M_sp, _energy_normalize(A_k, X))
     AX = A_k.to_scipy() @ X
     MX = M_sp @ X
@@ -243,28 +240,6 @@ def correct_block(k, lams, Y, dec, mass, params):
         np.linalg.norm(AX[:, j] - new_lams[j] * MX[:, j])
         / np.linalg.norm(AX[:, j]) for j in range(nev)])
     return new_lams, X, res
-
-
-def one_correction(k, lam, y, dec, mass, params, return_details=False):
-    """Single-pair correction step at level k.
-
-    The corrected Ritz pair is the one whose reciprocal value is closest to
-    the incoming 1/lambda.
-    """
-    A_k = dec.A[k]
-    M_sp = mass[k].to_scipy()
-    y = np.asarray(y, dtype=np.float64)
-    rhs = lam * (M_sp @ y)
-    v_hat = _solve_level(k, rhs, y, dec, params)
-    basis = np.column_stack([dec.coarse_basis(k), v_hat])
-    ritz, X = _subspace_eig(A_k, M_sp, basis)
-    pick = int(np.argmin(np.abs(1.0 / ritz - 1.0 / lam)))
-    x = X[:, [pick]]
-    x = _energy_normalize(A_k, x)
-    x = _align_signs(y[:, None], M_sp, x)[:, 0]
-    if return_details:
-        return ritz[pick], x, v_hat
-    return ritz[pick], x
 
 
 def coarse_eigensolve(dec, M, nev):

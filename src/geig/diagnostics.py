@@ -9,47 +9,24 @@ serialized decomposition.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse.linalg
 
 from .multigrid import MgParams, energy_norm, mg
-from .sparse import cg, make_direct_solver
-
-_DENSE_COND_LIMIT = 3000
-
-
-def _power_iteration(matvec, n, tol=1e-10, maxit=2000):
-    v = np.ones(n) / np.sqrt(n)
-    v[0] += 1e-3  # break symmetry against the constant vector
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(maxit):
-        w = matvec(v)
-        lam_new = v @ w
-        nrm = np.linalg.norm(w)
-        v = w / nrm
-        if abs(lam_new - lam) <= tol * abs(lam_new):
-            return lam_new
-        lam = lam_new
-    return lam
+from .sparse import make_direct_solver
 
 
 def condition_number(B):
-    """Extremal-eigenvalue ratio of an SPD operator.
-
-    Dense solve below a size threshold; power iteration plus inverse power
-    iteration (CG-based) above it.
+    """Extremal-eigenvalue ratio of an SPD operator, from two ARPACK runs:
+    the largest eigenvalue directly, the smallest by shift-invert at zero.
+    Both start from the same seeded vector, so the result is reproducible.
     """
-    if B.nrows <= _DENSE_COND_LIMIT:
-        w = np.linalg.eigvalsh(B.to_dense())
-        return float(w[-1] / w[0])
     B_sp = B.to_scipy()
-    lam_max = _power_iteration(lambda v: B_sp @ v, B.nrows, tol=1e-8,
-                               maxit=500)
-
-    def inv_matvec(v):
-        return cg(lambda u: B_sp @ u, v, tol=1e-10, maxiter=10 * B.nrows)
-
-    lam_min_inv = _power_iteration(inv_matvec, B.nrows, tol=1e-8, maxit=500)
-    return float(lam_max * lam_min_inv)
+    v0 = np.random.default_rng(0).standard_normal(B.nrows)
+    lam_max = scipy.sparse.linalg.eigsh(B_sp, k=1, which="LA", v0=v0,
+                                        return_eigenvectors=False)[0]
+    lam_min = scipy.sparse.linalg.eigsh(B_sp, k=1, sigma=0.0, which="LM",
+                                        v0=v0, return_eigenvectors=False)[0]
+    return float(lam_max / lam_min)
 
 
 def wavelet_condition_numbers(dec):

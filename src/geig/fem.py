@@ -83,14 +83,14 @@ class CoefficientField:
         self.a = np.asarray(self.a, dtype=np.float64)
         if self.a.ndim != 2:
             raise InvalidArgumentError("coefficient array must be 2-D")
-        if np.any(self.a <= 0):
-            raise InvalidArgumentError("conductivity values must be positive")
+        if not np.all(np.isfinite(self.a)) or np.any(self.a <= 0):
+            raise InvalidArgumentError("conductivity values must be finite and positive")
         if self.potential is not None:
             self.potential = np.asarray(self.potential, dtype=np.float64)
             if self.potential.shape != self.a.shape:
                 raise InvalidArgumentError("potential shape must match conductivity")
-            if np.any(self.potential < 0):
-                raise InvalidArgumentError("potential values must be nonnegative")
+            if not np.all(np.isfinite(self.potential)) or np.any(self.potential < 0):
+                raise InvalidArgumentError("potential values must be finite and nonnegative")
 
     @classmethod
     def constant(cls, grid, value=1.0):
@@ -221,8 +221,8 @@ def load_coefficient_file(path, component="conductivity"):
     """Read a whitespace-separated text field: line 1 is "nx ny", then
     nx*ny values row-major with the y index ascending.
 
-    Conductivity files must be strictly positive; potential files must be
-    nonnegative.  Errors name the offending line.
+    Values must be finite; conductivity files must be strictly positive and
+    potential files nonnegative.  Errors name the offending line.
     """
     if component not in ("conductivity", "potential"):
         raise InvalidArgumentError(f"unknown component {component!r}")
@@ -257,11 +257,10 @@ def load_coefficient_file(path, component="conductivity"):
         raise LoadError(
             f"{path}: expected {nx * ny} values for a {nx}x{ny} field, got {len(values)}")
     arr = np.array(values).reshape(ny, nx)
-    floor = 0.0 if component == "potential" else None
     for idx, val in enumerate(values):
-        if (floor is None and val <= 0.0) or (floor == 0.0 and val < 0.0):
+        if not np.isfinite(val) or val < 0.0 or (val == 0.0 and component == "conductivity"):
             raise LoadError(
-                f"{path}:{value_lines[idx]}: nonpositive value {val!r} not allowed "
+                f"{path}:{value_lines[idx]}: value {val!r} not allowed "
                 f"for {component}")
     if component == "potential":
         return CoefficientField(np.ones_like(arr), potential=arr)

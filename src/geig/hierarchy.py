@@ -219,13 +219,28 @@ class Hierarchy:
         return aggregate(self.pis, k)
 
 
+def cell_depths(q, n_cells):
+    """Dyadic depths of cell levels 1..q-1 of a q-level hierarchy on a grid
+    with ``n_cells`` cells per side, coarsest first.
+
+    The deepest cell level spans two or more grid cells per side, and
+    coarser levels halve from there.
+    """
+    v = 0
+    nn = n_cells
+    while nn % 2 == 0:
+        nn //= 2
+        v += 1
+    dmax = v - 1 if nn == 1 else v
+    return list(range(dmax - q + 2, dmax + 1))
+
+
 def build_hierarchy(q, grid):
     """Build the q-level hierarchy for a grid whose cell count is divisible
     by 2^q.
 
-    Cell depths are anchored at the fine end: the deepest cell level spans
-    two or more grid cells per side, and coarser levels halve from there.
-    Level q is the fine node set.
+    Cell depths are those of :func:`cell_depths`; level q is the fine node
+    set.
     """
     n = grid.n_cells
     if q < 1:
@@ -235,14 +250,7 @@ def build_hierarchy(q, grid):
             f"grid_n={n} not divisible by 2^levels={2 ** q}")
     if q == 1:
         return Hierarchy(grid=grid, q=1, labels=[], pis=[], Ws={})
-    v = 0
-    nn = n
-    while nn % 2 == 0:
-        nn //= 2
-        v += 1
-    dmax = v - 1 if nn == 1 else v
-    d1 = dmax - (q - 2)
-    labels = [LevelLabels(d1 + i) for i in range(q - 1)]
+    labels = [LevelLabels(d) for d in cell_depths(q, n)]
     pis = [haar_nesting(labels[i].depth) for i in range(q - 2)]
     pis.append(node_aggregation(labels[-1].depth, grid))
     Ws = {}

@@ -20,8 +20,8 @@ from .correction import (
     ConvergenceRecord,
     EigenSet,
     McParams,
-    m_orthonormalize,
     multilevel_correction,
+    rayleigh_ritz,
 )
 from .errors import (
     DegenerateBasisError,
@@ -29,7 +29,7 @@ from .errors import (
     NonConvergenceError,
 )
 from .multigrid import MgParams, precondition
-from .sparse import jacobi_eigh, spmv
+from .sparse import spmv
 
 logger = logging.getLogger(__name__)
 
@@ -126,14 +126,6 @@ def pinvit_step(x, K, M, B):
     return x_next / np.sqrt(nrm2)
 
 
-def _ritz_rotate(K_sp, M_sp, X):
-    """Rotate a mass-orthonormal block into Ritz form (ascending values)."""
-    G = X.T @ (K_sp @ X)
-    G = 0.5 * (G + G.T)
-    lams, C = jacobi_eigh(G)
-    return lams, X @ C
-
-
 def lobpcg(K, M, B, X0, nev, params=None, record=None, phase=None, level=0,
            on_state=None):
     """Locally optimal block preconditioned iteration for the lowest ``nev``
@@ -157,11 +149,10 @@ def lobpcg(K, M, B, X0, nev, params=None, record=None, phase=None, level=0,
         raise InvalidArgumentError(
             f"initial block has {X0.shape[1]} columns, need at least {nev}")
     K_sp, M_sp = K.to_scipy(), M.to_scipy()
-    X = m_orthonormalize(X0, M_sp)
-    if X.shape[1] < nev:
+    ritz, X = rayleigh_ritz(K_sp, M_sp, X0)
+    if len(ritz) < nev:
         raise InvalidArgumentError("initial block is numerically dependent")
-    X = X[:, :nev] if X.shape[1] > nev else X
-    ritz, X = _ritz_rotate(K_sp, M_sp, X)
+    ritz, X = ritz[:nev], X[:, :nev]
     if record is None:
         record = ConvergenceRecord()
     P = None
@@ -188,19 +179,16 @@ def lobpcg(K, M, B, X0, nev, params=None, record=None, phase=None, level=0,
             break
         Wb = B.apply_block(R)
         blocks = [X, Wb] if P is None else [X, Wb, P]
-        Z = m_orthonormalize(np.column_stack(blocks), M_sp)
-        if Z.shape[1] < nev:
+        lams, V = rayleigh_ritz(K_sp, M_sp, np.column_stack(blocks))
+        if len(lams) < nev:
             raise DegenerateBasisError("trial basis lost rank")
-        G = Z.T @ (K_sp @ Z)
-        G = 0.5 * (G + G.T)
-        lams, C = jacobi_eigh(G)
-        C_low = C[:, :nev]
-        X_new = Z @ C_low
-        C_tail = C_low.copy()
-        C_tail[:X.shape[1], :] = 0.0
-        P = Z @ C_tail
-        overlap = np.einsum("ij,ij->j", X, M_sp @ X_new)
-        X_new[:, overlap < 0] *= -1.0
+        X_new = V[:, :nev]
+        C = X.T @ (M_sp @ X_new)
+        flip = np.diag(C) < 0
+        X_new[:, flip] *= -1.0
+        C[:, flip] *= -1.0
+        # P: the part of X_new M-orthogonal to span(X)
+        P = X_new - X @ C
         prev_ritz = ritz
         ritz = lams[:nev].copy()
         X = X_new

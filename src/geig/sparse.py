@@ -226,88 +226,6 @@ def galerkin_triple(R, A):
     return SparseOperator.from_scipy(prod.tocsr(), symmetric=True)
 
 
-class DenseSymMatrix:
-    """Dense symmetric matrix; construction enforces exact entry symmetry."""
-
-    __slots__ = ("n", "entries")
-
-    def __init__(self, entries):
-        arr = np.array(entries, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise InvalidArgumentError("DenseSymMatrix requires a square array")
-        # (a + a^T)/2 is bitwise symmetric because IEEE addition commutes
-        self.entries = 0.5 * (arr + arr.T)
-        self.n = arr.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return self.entries.astype(dtype)
-        return self.entries
-
-
-def _as_dense_sym(mat):
-    if isinstance(mat, DenseSymMatrix):
-        return mat.entries
-    if isinstance(mat, SparseOperator):
-        return DenseSymMatrix(mat.to_dense()).entries
-    return DenseSymMatrix(np.asarray(mat, dtype=np.float64)).entries
-
-
-def jacobi_eigh(a, tol=1e-14, max_sweeps=60):
-    """Eigendecomposition of a dense symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps until the off-diagonal Frobenius norm falls below ``tol`` times
-    the initial Frobenius norm.  Returns (eigenvalues ascending, eigenvector
-    columns); each eigenvector's largest-magnitude component is made
-    positive so the output is deterministic.
-    """
-    a = np.array(a, dtype=np.float64)
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return a.ravel().copy(), v
-    norm0 = np.linalg.norm(a)
-    if norm0 == 0.0:
-        return np.zeros(n), v
-    for _ in range(max_sweeps):
-        offmat = a.copy()
-        np.fill_diagonal(offmat, 0.0)
-        off = np.linalg.norm(offmat)
-        if off <= tol * norm0:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0)) \
-                    if theta != 0.0 else 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    lams = np.diag(a).copy()
-    order = np.argsort(lams, kind="stable")
-    lams = lams[order]
-    v = v[:, order]
-    # deterministic signs
-    for j in range(n):
-        i = int(np.argmax(np.abs(v[:, j])))
-        if v[i, j] < 0:
-            v[:, j] = -v[:, j]
-    return lams, v
-
-
 class DenseEigResult:
     """All eigenpairs of K x = lambda M x, ascending.
 
@@ -331,34 +249,19 @@ class DenseEigResult:
 
 
 def dense_sym_geig(K, M=None):
-    """Solve the dense symmetric generalized problem K x = lambda M x.
-
-    M is reduced by Cholesky to a standard symmetric problem which is then
-    diagonalized with cyclic Jacobi rotations.  ``M=None`` means identity.
+    """Solve the dense symmetric generalized problem K x = lambda M x with
+    LAPACK (``scipy.linalg.eigh``).  ``M=None`` means identity.
 
     Raises
     ------
     NotPositiveDefiniteError
-        When the Cholesky factorization of M fails.
+        When M is not SPD.
     """
-    Kd = _as_dense_sym(K)
-    if M is None:
-        lams, y = jacobi_eigh(Kd)
-        x = y
-    else:
-        Md = _as_dense_sym(M)
-        if Md.shape != Kd.shape:
-            raise InvalidArgumentError("dense_sym_geig: K and M shapes differ")
-        try:
-            L = np.linalg.cholesky(Md)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError("mass matrix is not SPD") from exc
-        # C = L^{-1} K L^{-T}
-        tmp = scipy.linalg.solve_triangular(L, Kd, lower=True)
-        C = scipy.linalg.solve_triangular(L, tmp.T, lower=True).T
-        C = 0.5 * (C + C.T)
-        lams, y = jacobi_eigh(C)
-        x = scipy.linalg.solve_triangular(L.T, y, lower=False)
+    Kd = np.asarray(K, dtype=np.float64)
+    try:
+        lams, x = scipy.linalg.eigh(Kd, M)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError("mass matrix is not SPD") from exc
     energies = np.einsum("ij,ij->j", x, Kd @ x)
     xe = x.copy()
     pos = energies > 0
@@ -366,46 +269,17 @@ def dense_sym_geig(K, M=None):
     return DenseEigResult(lams, x, xe)
 
 
-def _dense_cholesky_solve(Ad, b):
-    try:
-        L = np.linalg.cholesky(Ad)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError("matrix is not SPD") from exc
-    y = scipy.linalg.solve_triangular(L, b, lower=True)
-    return scipy.linalg.solve_triangular(L.T, y, lower=False)
-
-
-def direct_solve(A, b):
-    """Solve A x = b for SPD A with a direct factorization.
-
-    Dense Cholesky below 1200 unknowns, sparse LU above.  The residual is
-    refined once if needed so that ||Ax - b|| <= 1e-12 ||b|| on reasonably
-    conditioned systems.
-    """
-    b = np.asarray(b, dtype=np.float64)
-    if isinstance(A, SparseOperator):
-        if A.nrows != A.ncols or b.shape[0] != A.nrows:
-            raise InvalidArgumentError("direct_solve: shape mismatch")
-        if A.nrows <= 1200:
-            x = _dense_cholesky_solve(A.to_dense(), b)
-            r = b - (A.to_scipy() @ x)
-            x = x + _dense_cholesky_solve(A.to_dense(), r)
-        else:
-            solver = make_direct_solver(A)
-            x = solver(b)
-        return x
-    Ad = _as_dense_sym(A)
-    x = _dense_cholesky_solve(Ad, b)
-    r = b - Ad @ x
-    return x + _dense_cholesky_solve(Ad, r)
-
-
 def make_direct_solver(A):
     """Factorize SPD A once; returns a callable b -> x with one refinement step.
 
-    Dense Cholesky for small systems, SuperLU for large sparse ones.
+    Dense Cholesky up to 1200 unknowns, SuperLU above.
+
+    Raises
+    ------
+    NotPositiveDefiniteError
+        When the dense Cholesky factorization fails.
     """
-    if isinstance(A, SparseOperator) and A.nrows > 1200:
+    if A.nrows > 1200:
         lu = scipy.sparse.linalg.splu(A.to_scipy().tocsc())
         csr = A.to_scipy()
 
@@ -416,7 +290,7 @@ def make_direct_solver(A):
             return x + lu.solve(b - csr @ x)
 
         return solve_sparse
-    Ad = A.to_dense() if isinstance(A, SparseOperator) else _as_dense_sym(A)
+    Ad = A.to_dense()
     try:
         L = np.linalg.cholesky(Ad)
     except np.linalg.LinAlgError as exc:

@@ -28,7 +28,6 @@ from .errors import (
 )
 from .hierarchy import Hierarchy, build_hierarchy
 from .sparse import (
-    DenseSymMatrix,
     SparseOperator,
     cg,
     dump_coordinate,
@@ -273,7 +272,7 @@ def _adapted_interpolation(A_k, B_k, W, pi, hier, k, mode, radius, droptol):
 
 def oracle_level_matrices(A_fine, Pi_k):
     """Dense reference for one level: the aggregated resolvent
-    Theta = Pi A^{-1} Pi^T and its inverse.
+    Theta = Pi A^{-1} Pi^T and its inverse, both symmetrized.
 
     Only meant for tests at small sizes; computes a dense inverse.
     """
@@ -290,7 +289,7 @@ def oracle_level_matrices(A_fine, Pi_k):
         a_k = np.linalg.inv(theta)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError("aggregated resolvent is singular") from exc
-    return DenseSymMatrix(theta), DenseSymMatrix(a_k)
+    return 0.5 * (theta + theta.T), 0.5 * (a_k + a_k.T)
 
 
 def wavelet_vectors(dec, k):

@@ -35,6 +35,12 @@ class TestValidate:
         _, errors = validate_config(write_config(tmp_path, grid_n=24, levels=5))
         assert any("not divisible by 2^levels" in e for e in errors)
 
+    def test_eps_must_tile_grid(self, tmp_path):
+        _, errors = validate_config(write_config(
+            tmp_path, problem={"kind": "anderson", "eps": 0.01}, grid_n=64,
+            levels=4, nev=4))
+        assert any(e.startswith("problem.eps:") for e in errors)
+
     def test_negative_tolerance_names_field(self, tmp_path):
         _, errors = validate_config(
             write_config(tmp_path, lobpcg={"tol": -1.0}))
@@ -87,9 +93,10 @@ class TestRun:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["config"]["grid_n"] == 16
         assert manifest["code_version"]
+        assert isinstance(manifest["compiled_kernels"], bool)
+        assert manifest["numpy_version"] and manifest["scipy_version"]
 
-    def test_determinism_byte_identical_history(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GEIG_THREADS", "1")
+    def test_determinism_byte_identical_history(self, tmp_path):
         cfg1 = write_config(tmp_path, output_dir=str(tmp_path / "o1"),
                             problem={"kind": "checkerboard", "seed": 5,
                                      "eps": 0.125, "lo": 0.1, "hi": 10.0})

@@ -63,8 +63,9 @@ class TestAssemble:
             assemble(grid, CoefficientField(np.ones((4, 4))))
 
     def test_nonpositive_conductivity_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            CoefficientField(np.zeros((4, 4)))
+        for bad in (0.0, np.nan, np.inf):
+            with pytest.raises(InvalidArgumentError):
+                CoefficientField(np.full((4, 4), bad))
 
     def test_order_of_convergence_h2(self):
         # Dirichlet Laplacian on [-1,1]^2 has lambda_1 = pi^2/2; the FEM error
@@ -156,10 +157,11 @@ class TestCoefficientFiles:
 
     def test_zero_entry_names_line(self, tmp_path):
         p = tmp_path / "bad.txt"
-        p.write_text("2 2\n1 1\n0 1\n")
-        with pytest.raises(LoadError) as err:
-            load_coefficient_file(p)
-        assert ":3:" in str(err.value)
+        for bad in ("0", "nan", "inf"):
+            p.write_text(f"2 2\n1 1\n{bad} 1\n")
+            with pytest.raises(LoadError) as err:
+                load_coefficient_file(p)
+            assert ":3:" in str(err.value)
 
     def test_wrong_count(self, tmp_path):
         p = tmp_path / "short.txt"

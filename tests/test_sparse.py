@@ -1,20 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geig.errors import InvalidArgumentError, NotPositiveDefiniteError
 from geig.sparse import (
-    DenseSymMatrix,
     SparseOperator,
     cg,
     check_symmetric,
     dense_sym_geig,
-    direct_solve,
     dump_coordinate,
     galerkin_triple,
-    jacobi_eigh,
     load_coordinate,
+    make_direct_solver,
     spmv,
 )
 
@@ -159,6 +157,7 @@ class TestDenseSymGeig:
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31))
+    @example(23256)
     def test_congruence_invariance(self, seed):
         rng = np.random.default_rng(seed)
         n = 5
@@ -167,39 +166,38 @@ class TestDenseSymGeig:
         res1 = dense_sym_geig(K, M)
         res2 = dense_sym_geig(0.5 * (P.T @ K @ P + (P.T @ K @ P).T),
                               0.5 * (P.T @ M @ P + (P.T @ M @ P).T))
-        np.testing.assert_allclose(res1.lambdas, res2.lambdas, rtol=1e-10)
-
-    def test_jacobi_against_closed_form_tridiagonal(self):
-        from _oracles import tridiag_laplacian_spectrum
-
-        n = 9
-        T = np.diag(2.0 * np.ones(n)) + np.diag(-np.ones(n - 1), 1) + np.diag(-np.ones(n - 1), -1)
-        lams, vecs = jacobi_eigh(T)
-        np.testing.assert_allclose(lams, tridiag_laplacian_spectrum(n), rtol=1e-13)
-        np.testing.assert_allclose(vecs @ np.diag(lams) @ vecs.T, T, atol=1e-12)
+        # Forming P^T K P and P^T M P in floating point perturbs the pencil
+        # by about eps relative in P's coordinates, which moves its
+        # eigenvalues by up to about eps * cond(P)^2 relative: no solver can
+        # do better on the rounded pair.  Seed 23256 has cond(P) = 3.4e3 and
+        # moves them by 5e-10 relative.  The factor 100 covers the dimension,
+        # the conditioning of K and M and each solve's own backward error
+        # (over seeds 0..2999 the ratio stayed below 9).
+        rtol = 100 * np.finfo(float).eps * np.linalg.cond(P) ** 2
+        np.testing.assert_allclose(res1.lambdas, res2.lambdas, rtol=rtol)
 
 
 class TestDirectSolve:
     def test_identity(self):
         b = np.array([3.0, -1.0, 2.0])
-        np.testing.assert_allclose(direct_solve(SparseOperator.identity(3), b), b)
+        np.testing.assert_allclose(make_direct_solver(SparseOperator.identity(3))(b), b)
 
     def test_diagonal(self):
         A = SparseOperator.from_diagonal([2.0, 4.0])
-        np.testing.assert_allclose(direct_solve(A, np.array([2.0, 4.0])), [1.0, 1.0])
+        np.testing.assert_allclose(make_direct_solver(A)(np.array([2.0, 4.0])), [1.0, 1.0])
 
     def test_residual_random_spd(self):
         rng = np.random.default_rng(9)
         dense = random_spd(20, rng)
         A = SparseOperator.from_dense(dense, symmetric=True)
         b = rng.standard_normal(20)
-        x = direct_solve(A, b)
+        x = make_direct_solver(A)(b)
         assert np.linalg.norm(dense @ x - b) <= 1e-12 * np.linalg.norm(b)
 
     def test_not_spd(self):
         A = SparseOperator.from_diagonal([1.0, -1.0])
         with pytest.raises(NotPositiveDefiniteError):
-            direct_solve(A, np.ones(2))
+            make_direct_solver(A)(np.ones(2))
 
 
 class TestCg:
@@ -213,17 +211,6 @@ class TestCg:
 
     def test_zero_rhs(self):
         np.testing.assert_array_equal(cg(lambda v: v, np.zeros(4)), np.zeros(4))
-
-
-class TestDenseSymMatrix:
-    def test_exact_symmetry_enforced(self):
-        a = np.array([[1.0, 2.0], [2.0 + 1e-17, 3.0]])
-        m = DenseSymMatrix(a)
-        np.testing.assert_array_equal(m.entries, m.entries.T)
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(InvalidArgumentError):
-            DenseSymMatrix(np.ones((2, 3)))
 
 
 class TestCoordinateFormat:
