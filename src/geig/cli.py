@@ -26,7 +26,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 import scipy
 
-from . import __version__, _kernels
+from . import __version__
 from .correction import McParams, multilevel_correction
 from .diagnostics import decay_fit, measure_contraction, wavelet_condition_numbers
 from .errors import GeigError, InvalidArgumentError, NonConvergenceError
@@ -342,7 +342,6 @@ def run_experiment(config):
         "config": config.resolved,
         "seeds": {"problem": config.problem.get("seed"),
                   "lobpcg": config.lobpcg_seed},
-        "compiled_kernels": _kernels.HAVE_COMPILED_KERNELS,
         "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,
         "code_version": __version__,

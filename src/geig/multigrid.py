@@ -68,8 +68,7 @@ def _smooth(A, z, g, params, dec_cache, k, post):
         z += r / lam
     else:
         reverse = post and params.symmetric_smoothing
-        _kernels.gauss_seidel_sweep(A.row_offsets, A.col_indices, A.values,
-                                    A.diagonal(), z, g, reverse)
+        _kernels.gauss_seidel_sweep(A, z, g, reverse)
 
 
 def mg(k, z0, g, dec, params):

@@ -13,7 +13,6 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from . import _kernels
 from .errors import InvalidArgumentError, NonConvergenceError, NotPositiveDefiniteError
 
 _SYM_RTOL = 1e-12
@@ -41,7 +40,7 @@ class SparseOperator:
     """
 
     __slots__ = ("nrows", "ncols", "row_offsets", "col_indices", "values",
-                 "symmetric", "_csr", "_csr_t", "_diag")
+                 "symmetric", "_csr", "_csr_t", "_diag", "_unit_lower")
 
     def __init__(self, nrows, ncols, row_offsets, col_indices, values,
                  symmetric=False, _validate=True):
@@ -54,6 +53,7 @@ class SparseOperator:
         self._csr = None
         self._csr_t = None
         self._diag = None
+        self._unit_lower = None
         if _validate:
             self._validate_structure()
 
@@ -153,6 +153,20 @@ class SparseOperator:
             self._diag = self.to_scipy().diagonal().astype(np.float64)
         return self._diag
 
+    def unit_lower_triangle(self):
+        """T = I + L D^-1 in CSR: the strictly lower part L scaled by the
+        reciprocal diagonal of its columns, plus a stored unit diagonal.
+        The Gauss-Seidel sweep solves with it (D + L = T D)."""
+        if self._unit_lower is None:
+            L = scipy.sparse.tril(self.to_scipy(), k=-1, format="csr")
+            L = L @ scipy.sparse.diags_array(1.0 / self.diagonal())
+            T = (L + scipy.sparse.eye_array(self.nrows)).tocsr()
+            # spsolve_triangular sorts a copy of an unsorted matrix on
+            # every call; the product above leaves the rows unsorted.
+            T.sort_indices()
+            self._unit_lower = T
+        return self._unit_lower
+
     def row(self, i):
         lo, hi = self.row_offsets[i], self.row_offsets[i + 1]
         return self.col_indices[lo:hi], self.values[lo:hi]
@@ -165,16 +179,16 @@ class SparseOperator:
         return (f"SparseOperator({self.nrows}x{self.ncols}, nnz={self.nnz}, "
                 f"symmetric={self.symmetric})")
 
-    def matvec(self, x, out=None):
-        return spmv(self, x, out=out)
+    def matvec(self, x):
+        return spmv(self, x)
 
-    def rmatvec(self, x, out=None):
+    def rmatvec(self, x):
         """y = A^T x, through the cached transpose."""
-        return spmv(self.transpose(), x, out=out)
+        return spmv(self.transpose(), x)
 
 
-def spmv(A, x, out=None):
-    """Sparse matrix-vector product y = A x.
+def spmv(A, x):
+    """Sparse matrix-vector product y = A x, through SciPy's CSR product.
 
     Raises
     ------
@@ -185,11 +199,7 @@ def spmv(A, x, out=None):
     if x.shape != (A.ncols,):
         raise InvalidArgumentError(
             f"spmv: x has shape {x.shape}, operator has {A.ncols} columns")
-    if out is None:
-        out = np.empty(A.nrows)
-    _kernels.csr_matvec(A.row_offsets, A.col_indices, A.values,
-                        np.ascontiguousarray(x), out)
-    return out
+    return A.to_scipy() @ x
 
 
 def check_symmetric(A, rtol=_SYM_RTOL):

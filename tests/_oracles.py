@@ -18,6 +18,13 @@ def dense_matvec(dense, x):
     return np.array([row @ x for row in dense])
 
 
+def reference_gauss_seidel_sweep(dense, x, b, reverse=False):
+    """One in-place Gauss-Seidel sweep for dense A x = b, row by row."""
+    n = len(b)
+    for i in (range(n - 1, -1, -1) if reverse else range(n)):
+        x[i] += (b[i] - dense[i] @ x) / dense[i, i]
+
+
 def tensor_product_eigenvalues(n_cells, count):
     """Closed-form discrete generalized eigenvalues for the unit-coefficient
     bilinear FEM Laplacian on [-1, 1]^2 with n_cells per side.

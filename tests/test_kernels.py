@@ -1,12 +1,12 @@
-"""The compiled kernels and the pure-Python fallbacks must agree."""
+"""The Gauss-Seidel sweep against the row-by-row reference sweep."""
 
 import numpy as np
 import pytest
 
-from geig._kernels import HAVE_COMPILED_KERNELS, compiled, fallback
+from geig._kernels import gauss_seidel_sweep
 from geig.sparse import SparseOperator
 
-from _oracles import random_spd
+from _oracles import random_spd, reference_gauss_seidel_sweep
 
 
 def make_csr(n, seed):
@@ -18,53 +18,25 @@ def make_csr(n, seed):
     return SparseOperator.from_dense(dense, symmetric=True), dense
 
 
-@pytest.mark.skipif(not HAVE_COMPILED_KERNELS,
-                    reason="compiled extension not built")
-class TestCompiledVsFallback:
-    def test_matvec_agreement(self):
-        A, dense = make_csr(40, 0)
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal(40)
-        out_c = np.empty(40)
-        out_f = np.empty(40)
-        compiled.csr_matvec(A.row_offsets, A.col_indices, A.values, x, out_c)
-        fallback.csr_matvec(A.row_offsets, A.col_indices, A.values, x, out_f)
-        scale = np.linalg.norm(dense @ x)
-        assert np.linalg.norm(out_c - dense @ x) <= 1e-13 * scale
-        assert np.linalg.norm(out_f - dense @ x) <= 1e-12 * scale
-
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_gauss_seidel_agreement(self, reverse):
+class TestGaussSeidelSweep:
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+    def test_matches_reference_sweep(self, reverse):
         A, dense = make_csr(30, 2)
         rng = np.random.default_rng(3)
         b = rng.standard_normal(30)
-        diag = A.diagonal()
-        x_c = np.zeros(30)
-        x_f = np.zeros(30)
-        compiled.gauss_seidel_sweep(A.row_offsets, A.col_indices, A.values,
-                                        diag, x_c, b, reverse)
-        fallback.gauss_seidel_sweep(A.row_offsets, A.col_indices, A.values,
-                                    diag, x_f, b, reverse)
-        np.testing.assert_allclose(x_c, x_f, rtol=1e-13, atol=1e-14)
+        x = rng.standard_normal(30)
+        x_ref = x.copy()
+        for _ in range(3):
+            gauss_seidel_sweep(A, x, b, reverse)
+            reference_gauss_seidel_sweep(dense, x_ref, b, reverse)
+        np.testing.assert_allclose(x, x_ref, rtol=1e-13, atol=1e-14)
 
-    def test_gauss_seidel_reduces_residual(self):
+    def test_reduces_residual(self):
         A, dense = make_csr(30, 4)
         rng = np.random.default_rng(5)
         b = rng.standard_normal(30)
         x = np.zeros(30)
         r0 = np.linalg.norm(b)
         for _ in range(10):
-            compiled.gauss_seidel_sweep(A.row_offsets, A.col_indices,
-                                            A.values, A.diagonal(), x, b, False)
+            gauss_seidel_sweep(A, x, b)
         assert np.linalg.norm(b - dense @ x) < 0.1 * r0
-
-
-class TestFallbackAlone:
-    def test_matvec_empty_rows(self):
-        # one empty row exercises the cumulative-sum segment trick
-        dense = np.array([[1.0, 2.0], [0.0, 0.0], [3.0, 0.0]])
-        A = SparseOperator.from_dense(dense)
-        out = np.empty(3)
-        fallback.csr_matvec(A.row_offsets, A.col_indices, A.values,
-                            np.array([1.0, 1.0]), out)
-        np.testing.assert_allclose(out, [3.0, 0.0, 3.0])

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geig.errors import InvalidArgumentError, NotPositiveDefiniteError
+from geig.fem import Grid, assemble, gen_checkerboard
 from geig.sparse import (
     SparseOperator,
     cg,
@@ -44,6 +45,13 @@ class TestSparseOperator:
         assert not check_symmetric(SparseOperator.from_dense(b))
 
 
+def contrast_stiffness():
+    """Grid-32 stiffness of a 1/8-block checkerboard with contrast 1e6."""
+    grid = Grid(32)
+    K, _ = assemble(grid, gen_checkerboard(0, 0.125, 1.0, 1e6, grid))
+    return K.to_dense()
+
+
 class TestSpmv:
     def test_identity(self):
         A = SparseOperator.identity(3)
@@ -53,14 +61,22 @@ class TestSpmv:
         A = SparseOperator.from_diagonal([2.0, 3.0])
         np.testing.assert_array_equal(spmv(A, [1.0, 1.0]), [2.0, 3.0])
 
-    def test_matches_dense_rowwise(self):
-        rng = np.random.default_rng(7)
-        dense = random_spd(10, rng)
-        A = SparseOperator.from_dense(dense, symmetric=True)
-        x = rng.standard_normal(10)
+    @pytest.mark.parametrize("make_dense", [
+        pytest.param(lambda: random_spd(10, np.random.default_rng(7)),
+                     id="random_spd"),
+        pytest.param(lambda: np.array([[1.0, 2.0], [0.0, 0.0], [3.0, 0.0]]),
+                     id="empty_row"),
+        pytest.param(contrast_stiffness, id="contrast_1e6"),
+    ])
+    def test_matches_dense_rowwise(self, make_dense):
+        dense = make_dense()
+        A = SparseOperator.from_dense(dense)
+        x = np.random.default_rng(8).standard_normal(dense.shape[1])
         expected = dense_matvec(dense, x)
         got = spmv(A, x)
-        assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+        # per-row rounding bound, relative to (|A| |x|)_i
+        bound = 1e-14 * (np.abs(dense) @ np.abs(x))
+        assert np.all(np.abs(got - expected) <= bound)
 
     def test_dimension_mismatch(self):
         A = SparseOperator.identity(3)
