@@ -24,6 +24,13 @@ _DENSE_FILL_THRESHOLD = 0.2
 _DENSE_SIZE_LIMIT = 5000
 
 
+def _index_dtype(nrows, ncols, nnz):
+    """The index dtype SciPy's CSR picks: int32 when every index fits."""
+    if max(nrows, ncols, nnz) <= np.iinfo(np.int32).max:
+        return np.int32
+    return np.int64
+
+
 class SparseOperator:
     """Immutable CSR matrix with sorted column indices.
 
@@ -31,29 +38,34 @@ class SparseOperator:
     ----------
     nrows, ncols : int
         Matrix shape.
-    row_offsets : array of int64, length nrows + 1, nondecreasing.
-    col_indices : array of int64, strictly increasing within each row.
+    row_offsets : integer array, length nrows + 1, nondecreasing.
+    col_indices : integer array, strictly increasing within each row.
     values : array of float64.
     symmetric : bool
         Declares that the matrix is (numerically) symmetric.  Checked on
         demand by :func:`check_symmetric`, not at construction.
+
+    Both index arrays are stored in the dtype SciPy's CSR uses for them
+    (int32 when nnz and the shape fit, int64 otherwise), so the CSR matrix
+    of :meth:`to_scipy` shares them instead of holding a second copy.
     """
 
     __slots__ = ("nrows", "ncols", "row_offsets", "col_indices", "values",
-                 "symmetric", "_csr", "_csr_t", "_diag", "_unit_lower")
+                 "symmetric", "_csr", "_csr_t", "_diag", "_lower_lu")
 
     def __init__(self, nrows, ncols, row_offsets, col_indices, values,
                  symmetric=False, _validate=True):
         self.nrows = int(nrows)
         self.ncols = int(ncols)
-        self.row_offsets = np.ascontiguousarray(row_offsets, dtype=np.int64)
-        self.col_indices = np.ascontiguousarray(col_indices, dtype=np.int64)
         self.values = np.ascontiguousarray(values, dtype=np.float64)
+        index_dtype = _index_dtype(self.nrows, self.ncols, len(self.values))
+        self.row_offsets = np.ascontiguousarray(row_offsets, dtype=index_dtype)
+        self.col_indices = np.ascontiguousarray(col_indices, dtype=index_dtype)
         self.symmetric = bool(symmetric)
         self._csr = None
         self._csr_t = None
         self._diag = None
-        self._unit_lower = None
+        self._lower_lu = None
         if _validate:
             self._validate_structure()
 
@@ -87,10 +99,9 @@ class SparseOperator:
         csr = scipy.sparse.csr_matrix(mat)
         csr.sort_indices()
         csr.sum_duplicates()
-        op = cls(csr.shape[0], csr.shape[1],
-                 csr.indptr.astype(np.int64), csr.indices.astype(np.int64),
-                 csr.data.astype(np.float64), symmetric=symmetric, _validate=False)
-        return op
+        return cls(csr.shape[0], csr.shape[1], csr.indptr.copy(),
+                   csr.indices.copy(), csr.data.astype(np.float64),
+                   symmetric=symmetric, _validate=False)
 
     @classmethod
     def from_dense(cls, arr, symmetric=False, keep_zeros=False):
@@ -153,19 +164,37 @@ class SparseOperator:
             self._diag = self.to_scipy().diagonal().astype(np.float64)
         return self._diag
 
-    def unit_lower_triangle(self):
-        """T = I + L D^-1 in CSR: the strictly lower part L scaled by the
-        reciprocal diagonal of its columns, plus a stored unit diagonal.
-        The Gauss-Seidel sweep solves with it (D + L = T D)."""
-        if self._unit_lower is None:
-            L = scipy.sparse.tril(self.to_scipy(), k=-1, format="csr")
-            L = L @ scipy.sparse.diags_array(1.0 / self.diagonal())
-            T = (L + scipy.sparse.eye_array(self.nrows)).tocsr()
-            # spsolve_triangular sorts a copy of an unsorted matrix on
-            # every call; the product above leaves the rows unsorted.
-            T.sort_indices()
-            self._unit_lower = T
-        return self._unit_lower
+    def lower_triangle_lu(self):
+        """SuperLU factor of the lower triangle D + L, in natural order.
+
+        The Gauss-Seidel sweep solves with it.  SuperLU is asked for no
+        column ordering and always takes the diagonal pivot, so both its
+        permutations are the identity and its solves visit the rows in
+        Gauss-Seidel order.
+
+        Raises
+        ------
+        InvalidArgumentError
+            If a diagonal entry is zero, or if SuperLU reordered the rows
+            or columns anyway.
+        """
+        if self._lower_lu is None:
+            zero_rows = np.flatnonzero(self.diagonal() == 0.0)
+            if len(zero_rows):
+                raise InvalidArgumentError(
+                    f"Gauss-Seidel needs a nonzero diagonal; row {zero_rows[0]} "
+                    "has a zero diagonal entry")
+            lu = scipy.sparse.linalg.splu(
+                scipy.sparse.tril(self.to_scipy(), format="csc"),
+                permc_spec="NATURAL", diag_pivot_thresh=0.0)
+            natural = np.arange(self.nrows)
+            if not (np.array_equal(lu.perm_r, natural)
+                    and np.array_equal(lu.perm_c, natural)):
+                raise InvalidArgumentError(
+                    "the factor of the lower triangle is not in natural order, "
+                    "so its solves would not be Gauss-Seidel sweeps")
+            self._lower_lu = lu
+        return self._lower_lu
 
     def row(self, i):
         lo, hi = self.row_offsets[i], self.row_offsets[i + 1]

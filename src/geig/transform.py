@@ -93,14 +93,21 @@ class GambletDecomposition:
         return self._cache["coarse_solver"]
 
     def mass_levels(self, M):
-        """Galerkin restrictions of a fine mass matrix to every level."""
-        key = ("mass", id(M))
-        if key not in self._cache:
-            levels = {self.q: M}
-            for k in range(self.q, 1, -1):
-                levels[k - 1] = galerkin_triple(self.R[k], levels[k])
-            self._cache[key] = levels
-        return self._cache[key]
+        """Galerkin restrictions of a fine mass matrix to every level.
+
+        Cached per matrix object: each entry holds its M as the level-q
+        restriction and is found by identity (an ``id`` can be handed out
+        again once its object is freed).
+        """
+        cached = self._cache.setdefault("mass", [])
+        for levels in cached:
+            if levels[self.q] is M:
+                return levels
+        levels = {self.q: M}
+        for k in range(self.q, 1, -1):
+            levels[k - 1] = galerkin_triple(self.R[k], levels[k])
+        cached.append(levels)
+        return levels
 
     def lambda_bound(self, k, factor=1.0):
         key = ("lambda", k)

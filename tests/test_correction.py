@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from geig.correction import (
+    _CLUSTER_RTOL,
     EigenSet,
     McParams,
     coarse_eigensolve,
@@ -75,6 +76,19 @@ class TestCoarseEigensolve:
         for j in range(4):
             v = es.vectors[:, j]
             assert abs(v @ K.to_scipy() @ v - 1.0) <= 1e-10
+
+
+class TestMassLevels:
+    def test_each_mass_matrix_gets_its_own_restrictions(self):
+        _, M, dec = setup_problem(8, 2)
+        base = dec.mass_levels(M)[1].to_dense()
+        for scale in (2.0, 3.0, 4.0):
+            scaled = SparseOperator.from_scipy(scale * M.to_scipy(), symmetric=True)
+            levels = dec.mass_levels(scaled)
+            assert levels[dec.q] is scaled
+            assert dec.mass_levels(scaled) is levels
+            np.testing.assert_allclose(levels[1].to_dense(), scale * base,
+                                       rtol=1e-13, atol=1e-15)
 
 
 class TestOneCorrection:
@@ -162,6 +176,43 @@ class TestMultilevelCorrection:
         expected = fine_spectrum(K, M, 2)
         for sweep, level, pair, lam, _, _, _ in rec.rows:
             assert lam >= expected[pair] - 1e-9 * expected[pair]
+
+    def test_degenerate_pair_keeps_its_vectors(self, monkeypatch):
+        # Constant coefficients on the square: lambda_2 = lambda_3 exactly.
+        K, M, dec = setup_problem(16, 3)
+        sweeps = []
+
+        def recording_correct_block(k, lams, Y, dec, mass, params):
+            out = correct_block(k, lams, Y, dec, mass, params)
+            sweeps.append((Y, out[0], out[1], mass[k].to_scipy()))
+            return out
+
+        monkeypatch.setattr("geig.correction.correct_block",
+                            recording_correct_block)
+        es, rec = multilevel_correction(dec, M, 4, McParams(tol=1e-12))
+        expected = fine_spectrum(K, M, 4)
+        assert expected[2] - expected[1] <= 1e-12 * expected[1]
+        for _, _, pair, lam, _, _, _ in rec.rows:
+            assert lam >= expected[pair] * (1.0 - 1e-12)
+        np.testing.assert_allclose(es.lambdas, expected, rtol=1e-10)
+        clustered = 0
+        for Y, lams, X, M_sp in sweeps:
+            if abs(lams[2] - lams[1]) >= _CLUSTER_RTOL * lams[2]:
+                continue
+            clustered += 1
+            overlap = np.abs(Y.T @ (M_sp @ X))
+            np.testing.assert_array_equal(np.argmax(overlap, axis=1), np.arange(4))
+        assert clustered >= 3
+
+    def test_nev_equal_to_coarse_dimension(self):
+        K, M, dec = setup_problem(8, 2)
+        nev = dec.level_dim(1)
+        es, rec = multilevel_correction(dec, M, nev, McParams(tol=1e-10))
+        expected = fine_spectrum(K, M, nev)
+        assert es.nev == nev
+        for _, _, pair, lam, _, _, _ in rec.rows:
+            assert lam >= expected[pair] * (1.0 - 1e-12)
+        np.testing.assert_allclose(es.lambdas, expected, rtol=1e-9)
 
     def test_energy_normalized_output(self):
         K, M, dec = setup_problem(16, 3)

@@ -36,6 +36,12 @@ class TestSparseOperator:
         op = SparseOperator.from_dense(d)
         np.testing.assert_array_equal(op.to_dense(), d)
 
+    def test_indices_shared_with_scipy(self):
+        op = SparseOperator.from_dense(random_spd(6, np.random.default_rng(2)))
+        csr = op.to_scipy()
+        assert np.shares_memory(op.col_indices, csr.indices)
+        assert np.shares_memory(op.row_offsets, csr.indptr)
+
     def test_symmetric_flag_check(self):
         a = random_spd(6, np.random.default_rng(1))
         op = SparseOperator.from_dense(a, symmetric=True)
