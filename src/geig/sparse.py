@@ -2,8 +2,8 @@
 
 Everything downstream (transform, multigrid, eigensolvers) moves matrices
 through this module: CSR matrix-vector products, Galerkin triple products
-R A R^T, small dense symmetric generalized eigensolves, a direct solver for
-coarsest-level systems, and a plain conjugate-gradient loop.
+R A R^T, small dense symmetric generalized eigensolves and a direct solver
+for coarsest-level systems.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .errors import InvalidArgumentError, NonConvergenceError, NotPositiveDefiniteError
+from .errors import InvalidArgumentError, NotPositiveDefiniteError
 
 _SYM_RTOL = 1e-12
 
@@ -252,17 +252,21 @@ def galerkin_triple(R, A):
     if R.ncols != A.nrows or A.nrows != A.ncols:
         raise InvalidArgumentError(
             f"galerkin_triple: R is {R.shape}, A is {A.shape}")
-    m = R.nrows
-    dense_ok = m <= _DENSE_SIZE_LIMIT and A.nrows <= _DENSE_SIZE_LIMIT
-    if dense_ok and (R.fill_fraction() > _DENSE_FILL_THRESHOLD
-                     or A.fill_fraction() > _DENSE_FILL_THRESHOLD):
+    dense_ok = R.nrows <= _DENSE_SIZE_LIMIT and A.nrows <= _DENSE_SIZE_LIMIT
+    R_sp = R.to_scipy()
+    if dense_ok and R.fill_fraction() > _DENSE_FILL_THRESHOLD:
         Rd = R.to_dense()
         P = Rd @ (A.to_scipy() @ Rd.T)
-        P = 0.5 * (P + P.T)
-        return SparseOperator.from_dense(P, symmetric=True, keep_zeros=True)
-    prod = (R.to_scipy() @ A.to_scipy()) @ R.to_scipy().T
-    prod = 0.5 * (prod + prod.T)
-    return SparseOperator.from_scipy(prod.tocsr(), symmetric=True)
+    elif dense_ok and A.fill_fraction() > _DENSE_FILL_THRESHOLD:
+        # R (R A)^T is R A^T R^T, whose half-sum is that of R A R^T; R
+        # stays sparse
+        P = R_sp @ (R_sp @ A.to_dense()).T
+    else:
+        prod = (R_sp @ A.to_scipy()) @ R_sp.T
+        prod = 0.5 * (prod + prod.T)
+        return SparseOperator.from_scipy(prod.tocsr(), symmetric=True)
+    P = 0.5 * (P + P.T)
+    return SparseOperator.from_dense(P, symmetric=True, keep_zeros=True)
 
 
 class DenseEigResult:
@@ -343,46 +347,6 @@ def make_direct_solver(A):
         return x + scipy.linalg.solve_triangular(L.T, y, lower=False)
 
     return solve_dense
-
-
-def cg(matvec, b, tol=1e-12, maxiter=None, x0=None):
-    """Plain conjugate gradients for an SPD operator given as a matvec.
-
-    Stops at ||b - A x|| <= tol * ||b||.  Raises NonConvergenceError with the
-    residual history when the budget runs out; raises NotPositiveDefiniteError
-    on a nonpositive curvature p^T A p.
-    """
-    b = np.asarray(b, dtype=np.float64)
-    n = len(b)
-    if maxiter is None:
-        maxiter = 10 * n + 100
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
-    r = b - matvec(x) if x0 is not None else b.copy()
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros(n)
-    history = [np.linalg.norm(r) / bnorm]
-    if history[-1] <= tol:
-        return x
-    p = r.copy()
-    rs = r @ r
-    for _ in range(maxiter):
-        Ap = matvec(p)
-        curv = p @ Ap
-        if curv <= 0.0:
-            raise NotPositiveDefiniteError("nonpositive curvature in CG")
-        alpha = rs / curv
-        x += alpha * p
-        r -= alpha * Ap
-        rn = np.linalg.norm(r) / bnorm
-        history.append(rn)
-        if rn <= tol:
-            return x
-        rs_new = r @ r
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    raise NonConvergenceError(
-        f"CG did not reach tol={tol} in {maxiter} iterations", history=history)
 
 
 # -- coordinate text format ------------------------------------------------

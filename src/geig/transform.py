@@ -3,10 +3,12 @@
 Walks the label hierarchy from the fine level down: at each level it forms
 the wavelet-block stiffness B = W A W^T, builds the adapted interpolation
 R = pi (I - A W^T B^{-1} W), and coarsens A through the Galerkin triple
-product.  The B-inverse applications are conjugate-gradient solves; in
-localized mode they are restricted to a lattice ball around each coarse
-cell and the resulting interpolation entries are thresholded, which keeps
-every level sparse.
+product.  The B-inverse applications are LAPACK Cholesky solves: exact
+mode factors all of B once; localized mode factors B restricted to a
+lattice ball around each coarse cell (the exact energy minimizer on that
+subdomain) and thresholds the resulting interpolation entries, which keeps
+every level sparse.  A filled-in B goes through the dense Cholesky, a sparse
+one through the banded Cholesky.
 
 A dense oracle (inverse of the aggregated resolvent) is provided for
 testing the recursion at small sizes.
@@ -20,6 +22,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse
 
 from .errors import (
     InvalidArgumentError,
@@ -29,15 +33,20 @@ from .errors import (
 from .hierarchy import Hierarchy, build_hierarchy
 from .sparse import (
     SparseOperator,
-    cg,
     dump_coordinate,
     galerkin_triple,
     load_coordinate,
     make_direct_solver,
 )
 
-_EXACT_CG_TOL = 1e-12
-_LOCALIZED_CG_TOL = 1e-6
+# A wavelet block filled in beyond this fraction (and no larger than
+# _DENSE_BLOCK_ROWS) is sliced from a dense copy and factored densely; a
+# sparser one is kept as its band only.
+_DENSE_BLOCK_FILL = 0.15
+_DENSE_BLOCK_ROWS = 6000
+# Right-hand sides per solve with the factored block in exact mode; keeps
+# the dense work arrays at (block rows) x _EXACT_BLOCK_COLUMNS.
+_EXACT_BLOCK_COLUMNS = 256
 _DEFAULT_RADIUS = 3
 _DEFAULT_DROPTOL = 1e-9
 
@@ -118,22 +127,60 @@ class GambletDecomposition:
         return self._cache[key] * factor
 
 
-def _solve_block_cg(matvec, rhs, tol, label):
+def _upper_band(B):
+    """LAPACK upper band storage of a symmetric sparse matrix: row
+    ``u + i - j`` of column j holds B[i, j] for i <= j, with u the
+    bandwidth."""
+    coo = B.tocoo()
+    upper = coo.row <= coo.col
+    rows, cols = coo.row[upper], coo.col[upper]
+    u = int((cols - rows).max(initial=0))
+    ab = np.zeros((u + 1, B.shape[0]))
+    ab[u + rows - cols, cols] = coo.data[upper]
+    return ab
+
+
+def _ball_band(band, ball):
+    """Upper band storage of B[ball, ball], gathered from B's own band.
+
+    ``ball`` is sorted, so local entry (p, q), p <= q, is B[ball[p], ball[q]]
+    and lies in B's band when ball[q] - ball[p] <= u.
+    """
+    u = band.shape[0] - 1
+    n = len(ball)
+    local_u = int((np.arange(n) - np.searchsorted(ball, ball - u)).max())
+    p = np.arange(n) - np.arange(local_u, -1, -1)[:, None]
+    gap = ball - ball[np.maximum(p, 0)]
+    out = band.take((u - np.minimum(gap, u)) * band.shape[1] + ball)
+    out[(p < 0) | (gap > u)] = 0.0
+    return out
+
+
+def _cholesky(B, k, banded):
+    """Factor an SPD wavelet block once; returns a callable rhs -> B^{-1} rhs.
+
+    ``B`` is a dense array for LAPACK's Cholesky (``cho_factor``), or, with
+    ``banded``, upper band storage for its banded Cholesky.  Wavelets are
+    numbered by parent cell, row-major, so a sparse wavelet block's band
+    spans about one row of parent cells.
+
+    Raises
+    ------
+    NotPositiveDefiniteError
+        When the factorization meets a nonpositive pivot.
+    """
     try:
-        return cg(matvec, rhs, tol=tol, maxiter=max(200, 4 * len(rhs)))
-    except NotPositiveDefiniteError as exc:
+        if banded:
+            factor = scipy.linalg.cholesky_banded(B, check_finite=False)
+            return lambda rhs: scipy.linalg.cho_solve_banded(
+                (factor, False), rhs, check_finite=False)
+        factor = scipy.linalg.cho_factor(B, check_finite=False)
+        return lambda rhs: scipy.linalg.cho_solve(factor, rhs,
+                                                  check_finite=False)
+    except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(
-            f"wavelet block at {label} is not positive definite; "
+            f"wavelet block at level {k} is not positive definite; "
             "the input operator must be SPD") from exc
-
-
-def _level_matvec(B):
-    """Pick a dense BLAS matvec when the block has filled in."""
-    if B.fill_fraction() > 0.25 and B.nrows <= 4096:
-        Bd = B.to_dense()
-        return lambda v: Bd @ v
-    B_sp = B.to_scipy()
-    return lambda v: B_sp @ v
 
 
 def _ball_indices(parent, side, coords_y, coords_x, rad):
@@ -153,10 +200,10 @@ def transform(A_fine, hier, mode="exact", radius=_DEFAULT_RADIUS,
         Fine-level SPD matrix, dimension matching the hierarchy's node count.
     hier : Hierarchy
     mode : "exact" or "localized"
-        Exact mode keeps every interpolation entry and solves wavelet blocks
-        to 1e-12; localized mode restricts each block solve to a lattice
-        ball (radius grows linearly with dyadic depth) and drops entries
-        below ``droptol``.
+        Exact mode keeps every interpolation entry and solves with the
+        whole wavelet block; localized mode restricts each block solve to a
+        lattice ball (radius grows linearly with dyadic depth) and drops
+        entries at or below ``droptol``.  Both solve directly, by Cholesky.
     track_vectors : bool
         Keep per-level basis coefficient matrices for diagnostics.  Dense
         storage, intended for small problems.
@@ -164,6 +211,12 @@ def transform(A_fine, hier, mode="exact", radius=_DEFAULT_RADIUS,
         "geometric" skips the operator-adapted correction term and uses the
         plain nesting matrices as interpolations (the baseline the adapted
         construction is compared against).
+
+    Raises
+    ------
+    NotPositiveDefiniteError
+        When a wavelet block (or a ball block of it) is not SPD; the
+        message names the level.
     """
     if mode not in ("exact", "localized"):
         raise InvalidArgumentError(f"unknown transform mode {mode!r}")
@@ -213,68 +266,57 @@ def transform(A_fine, hier, mode="exact", radius=_DEFAULT_RADIUS,
 
 
 def _adapted_interpolation(A_k, B_k, W, pi, hier, k, mode, radius, droptol):
-    """R = pi (I - A W^T B^{-1} W), row by row.
+    """R = pi (I - A W^T B^{-1} W) by Cholesky solves with the wavelet block.
 
-    Each coarse row needs one CG solve with the wavelet block; localized
-    mode restricts that solve to wavelets whose parent cell lies within a
-    lattice ball of the row's cell.
+    Row i is pi_i - (W^T y_i)^T with B y_i = W A pi_i^T; all right-hand
+    sides come from one sparse product.  Exact mode factors the whole block
+    once and solves the right-hand sides in column blocks.  Localized mode
+    solves each row exactly on the wavelets whose parent cell lies within a
+    lattice ball of the row's cell, then drops entries at or below
+    ``droptol``.
     """
     n_coarse, n_k = pi.shape
-    A_sp = A_k.to_scipy()
     W_sp = W.to_scipy()
-    Wt_sp = W_sp.T.tocsr()
-    cg_tol = _EXACT_CG_TOL if mode == "exact" else _LOCALIZED_CG_TOL
+    pi_sp = pi.to_scipy()
+    rhs = (W_sp @ (A_k.to_scipy() @ pi_sp.T)).tocsc()
+    filled = (B_k.fill_fraction() > _DENSE_BLOCK_FILL
+              and B_k.nrows <= _DENSE_BLOCK_ROWS)
+    B = B_k.to_dense() if filled else _upper_band(B_k.to_scipy())
 
-    localized = mode == "localized"
-    B_dense = None
-    if localized:
-        depth_child = hier.level_depth(k)
-        rho_child = 2 * radius * depth_child
-        rad_par = max(1, int(np.ceil(rho_child / 2.0)))
-        side = 2 ** hier.level_depth(k - 1)
-        wav_parent = hier.wavelet_parent[k]
-        wp_y, wp_x = np.divmod(wav_parent, side)
-        B_sp = B_k.to_scipy()
-        # slicing a filled-in sparse block per ball is slower than slicing
-        # a dense copy once the block has lost most of its sparsity
-        if B_k.fill_fraction() > 0.15 and B_k.nrows <= 6000:
-            B_dense = B_k.to_dense()
-    else:
-        matvec = _level_matvec(B_k)
+    if mode == "exact":
+        solve = _cholesky(B, k, banded=not filled)
+        blocks = []
+        for lo in range(0, n_coarse, _EXACT_BLOCK_COLUMNS):
+            cols = slice(lo, min(lo + _EXACT_BLOCK_COLUMNS, n_coarse))
+            Y = solve(rhs[:, cols].toarray())
+            blocks.append(scipy.sparse.csr_matrix(
+                pi_sp[cols].toarray() - (W_sp.T @ Y).T))
+        return SparseOperator.from_scipy(scipy.sparse.vstack(blocks))
 
-    rows_out = []
-    cols_out = []
-    vals_out = []
+    depth_child = hier.level_depth(k)
+    rho_child = 2 * radius * depth_child
+    rad_par = max(1, int(np.ceil(rho_child / 2.0)))
+    side = 2 ** hier.level_depth(k - 1)
+    wp_y, wp_x = np.divmod(hier.wavelet_parent[k], side)
+    balls = []
+    sols = []
+    w = np.zeros(B_k.nrows)
     for i in range(n_coarse):
-        cols_i, vals_i = pi.row(i)
-        u = A_sp[cols_i].T.dot(vals_i)
-        w = W_sp @ u
-        if localized:
-            ball = _ball_indices(i, side, wp_y, wp_x, rad_par)
-            if B_dense is not None:
-                B_sub = B_dense[np.ix_(ball, ball)]
-            else:
-                B_sub = B_sp[ball][:, ball]
-            y_sub = _solve_block_cg(lambda v, B_sub=B_sub: B_sub @ v,
-                                    w[ball], cg_tol, f"level {k}")
-            y = np.zeros(B_k.nrows)
-            y[ball] = y_sub
-        else:
-            y = _solve_block_cg(matvec, w, cg_tol, f"level {k}")
-        row = -(Wt_sp @ y)
-        row[cols_i] += vals_i
-        if localized:
-            keep = np.abs(row) > droptol
-        else:
-            keep = row != 0.0
-        idx = np.flatnonzero(keep)
-        rows_out.append(np.full(idx.shape, i, dtype=np.int64))
-        cols_out.append(idx.astype(np.int64))
-        vals_out.append(row[idx])
-    return SparseOperator.from_coo(np.concatenate(rows_out),
-                                   np.concatenate(cols_out),
-                                   np.concatenate(vals_out),
-                                   shape=(n_coarse, n_k))
+        ball = _ball_indices(i, side, wp_y, wp_x, rad_par)
+        B_ball = B[np.ix_(ball, ball)] if filled else _ball_band(B, ball)
+        lo, hi = rhs.indptr[i], rhs.indptr[i + 1]
+        w[rhs.indices[lo:hi]] = rhs.data[lo:hi]
+        balls.append(ball)
+        sols.append(_cholesky(B_ball, k, banded=not filled)(w[ball]))
+        w[rhs.indices[lo:hi]] = 0.0
+    offsets = np.concatenate(([0], np.cumsum([len(b) for b in balls])))
+    Y = scipy.sparse.csc_matrix(
+        (np.concatenate(sols), np.concatenate(balls), offsets),
+        shape=(B_k.nrows, n_coarse))
+    R = (pi_sp - (W_sp.T @ Y).T).tocsr()
+    R.data[np.abs(R.data) <= droptol] = 0.0
+    R.eliminate_zeros()
+    return SparseOperator.from_scipy(R)
 
 
 def oracle_level_matrices(A_fine, Pi_k):

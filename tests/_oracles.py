@@ -50,3 +50,27 @@ def dense_generalized_eig(K, M):
 def tridiag_laplacian_spectrum(n):
     """Eigenvalues of tridiag(-1, 2, -1) of size n."""
     return 2.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
+
+
+def reference_localized_interpolation(A, W, pi, parents, rad):
+    """Localized interpolation rows by dense solves on lattice balls.
+
+    ``A``, ``W`` and ``pi`` are dense; ``parents[j]`` is the coarse cell,
+    numbered row-major on a square lattice, that wavelet j belongs to.  Row
+    i is pi_i - y^T W[ball] with B[ball, ball] y = (W A pi_i^T)[ball], B =
+    W A W^T and ball the wavelets whose parent lies within ``rad`` cells of
+    cell i in both lattice directions.  Nothing is dropped.
+    """
+    n_coarse = pi.shape[0]
+    side = int(round(np.sqrt(n_coarse)))
+    assert side * side == n_coarse
+    B = W @ A @ W.T
+    R = pi.copy()
+    for i in range(n_coarse):
+        iy, ix = divmod(i, side)
+        ball = [j for j, par in enumerate(parents)
+                if max(abs(par // side - iy), abs(par % side - ix)) <= rad]
+        rhs = (W @ (A @ pi[i]))[ball]
+        y = np.linalg.solve(B[np.ix_(ball, ball)], rhs)
+        R[i] -= y @ W[ball]
+    return R

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from geig.errors import InvalidArgumentError, NotPositiveDefiniteError
 from geig.fem import Grid, assemble, gen_checkerboard
 from geig.sparse import (
+    _DENSE_FILL_THRESHOLD,
     SparseOperator,
-    cg,
     check_symmetric,
     dense_sym_geig,
     dump_coordinate,
@@ -137,6 +137,33 @@ class TestGalerkinTriple:
         d = out.to_dense()
         np.testing.assert_array_equal(d, d.T)
 
+    @pytest.mark.parametrize("r_filled,a_filled", [
+        (False, True), (True, False), (False, False)],
+        ids=["filled_A", "filled_R", "both_sparse"])
+    def test_each_branch_matches_dense(self, r_filled, a_filled):
+        rng = np.random.default_rng(17)
+        m, n = 12, 40
+        if r_filled:
+            Rd = rng.standard_normal((m, n))
+        else:
+            Rd = np.zeros((m, n))
+            for i in range(m):
+                Rd[i, rng.choice(n, size=2, replace=False)] = rng.standard_normal(2)
+        if a_filled:
+            Ad = random_spd(n, rng)
+        else:
+            Ad = (np.diag(np.full(n, 4.0)) - np.diag(np.ones(n - 1), 1)
+                  - np.diag(np.ones(n - 1), -1))
+        R = SparseOperator.from_dense(Rd)
+        A = SparseOperator.from_dense(Ad, symmetric=True)
+        assert (R.fill_fraction() > _DENSE_FILL_THRESHOLD) == r_filled
+        assert (A.fill_fraction() > _DENSE_FILL_THRESHOLD) == a_filled
+        out = galerkin_triple(R, A).to_dense()
+        expected = Rd @ Ad @ Rd.T
+        err = np.linalg.norm(out - expected) / np.linalg.norm(expected)
+        assert err <= 1e-13
+        np.testing.assert_array_equal(out, out.T)
+
     def test_dimension_mismatch(self):
         R = SparseOperator.from_dense(np.ones((2, 3)))
         A = SparseOperator.identity(4)
@@ -220,19 +247,6 @@ class TestDirectSolve:
         A = SparseOperator.from_diagonal([1.0, -1.0])
         with pytest.raises(NotPositiveDefiniteError):
             make_direct_solver(A)(np.ones(2))
-
-
-class TestCg:
-    def test_matches_direct(self):
-        rng = np.random.default_rng(13)
-        dense = random_spd(30, rng)
-        A = SparseOperator.from_dense(dense, symmetric=True)
-        b = rng.standard_normal(30)
-        x = cg(lambda v: spmv(A, v), b, tol=1e-13)
-        assert np.linalg.norm(dense @ x - b) <= 1e-12 * np.linalg.norm(b)
-
-    def test_zero_rhs(self):
-        np.testing.assert_array_equal(cg(lambda v: v, np.zeros(4)), np.zeros(4))
 
 
 class TestCoordinateFormat:

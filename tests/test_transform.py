@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
-from geig.errors import InvalidArgumentError, UnsupportedOperationError
+from geig.errors import (
+    InvalidArgumentError,
+    NotPositiveDefiniteError,
+    UnsupportedOperationError,
+)
 from geig.fem import CoefficientField, Grid, assemble, gen_checkerboard
 from geig.hierarchy import build_hierarchy
 from geig.sparse import SparseOperator, galerkin_triple
 from geig.transform import (
+    _DENSE_BLOCK_FILL,
     decay_profile,
     load_decomposition,
     oracle_level_matrices,
@@ -13,6 +18,8 @@ from geig.transform import (
     transform,
     wavelet_vectors,
 )
+
+from _oracles import random_spd, reference_localized_interpolation
 
 
 def make_problem(n, q, field=None, **kw):
@@ -198,10 +205,63 @@ class TestLocalized:
         loc = transform(K, hier, mode="localized", radius=2, droptol=1e-7)
         assert loc.R[4].nnz < exact.R[4].nnz
 
+    def test_rows_are_exact_ball_solves(self):
+        grid = Grid(16)
+        field = gen_checkerboard(seed=5, eps=1.0 / 8, lo=0.05, hi=20.0,
+                                 grid=grid)
+        K, _ = assemble(grid, field)
+        hier = build_hierarchy(3, grid)
+        radius = 1
+        dec = transform(K, hier, mode="localized", radius=radius)
+        for k in (2, 3):
+            # the ball radius in parent cells is radius x the level's depth
+            ref = reference_localized_interpolation(
+                dec.A[k].to_dense(), hier.Ws[k].to_dense(),
+                hier.pis[k - 2].to_dense(), hier.wavelet_parent[k],
+                radius * hier.level_depth(k))
+            R = dec.R[k].to_scipy()
+            kept = np.zeros(R.shape, dtype=bool)
+            kept[R.nonzero()] = True
+            scale = np.abs(ref).max()
+            err = np.abs(R.toarray() - ref)
+            assert err[kept].max() <= 1e-12 * scale, f"level {k}"
+            # only entries at or below droptol are left out
+            assert err[~kept].max(initial=0.0) <= dec.droptol, f"level {k}"
+
     def test_bad_radius(self):
         K, _, hier = make_problem(8, 2)
         with pytest.raises(InvalidArgumentError):
             transform(K, hier, mode="localized", radius=0)
+
+
+def shifted_to_indefinite(A0, hier):
+    """A0 - c I with c the largest diagonal entry of the fine wavelet block
+    W A0 W^T, so that block has a nonpositive diagonal entry while A0 - c I
+    keeps eigenvalues of both signs."""
+    B0 = galerkin_triple(hier.Ws[hier.q], A0)
+    c = B0.diagonal().max()
+    dense = A0.to_dense() - c * np.eye(A0.nrows)
+    lams = np.linalg.eigvalsh(dense)
+    assert lams[0] < 0 < lams[-1]
+    return SparseOperator.from_dense(dense, symmetric=True), B0
+
+
+class TestIndefiniteInput:
+    @pytest.mark.parametrize("mode", ["exact", "localized"])
+    @pytest.mark.parametrize("branch", ["banded", "dense"])
+    def test_refused_naming_the_level(self, mode, branch):
+        K, _, hier = make_problem(16, 3)
+        A0 = K
+        if branch == "dense":
+            # a dense SPD term fills the wavelet block in
+            rng = np.random.default_rng(4)
+            A0 = SparseOperator.from_dense(
+                K.to_dense() + 1e-3 * random_spd(K.nrows, rng) / K.nrows,
+                symmetric=True)
+        A, B0 = shifted_to_indefinite(A0, hier)
+        assert (B0.fill_fraction() > _DENSE_BLOCK_FILL) == (branch == "dense")
+        with pytest.raises(NotPositiveDefiniteError, match="level 3"):
+            transform(A, hier, mode=mode, radius=1)
 
 
 class TestGeometricVariant:
