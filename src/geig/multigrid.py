@@ -7,6 +7,26 @@ default), "presmoothed" restricts the residual after presmoothing (the
 conventional choice).  The preconditioner always uses the presmoothed form
 with adjoint pre/post smoothing so that its induced operator is symmetric
 positive definite.
+
+With Gauss-Seidel smoothing a cycle reads triangle products of A = L + D + U
+instead of full products (see ``geig._kernels``):
+
+- a zero initial iterate, as on every coarse level and in every
+  preconditioner call, needs no product: its first sweep reads U z = 0;
+- a nonzero one costs U z for the first presmoothing sweep, plus L z when
+  the residual at that iterate is restricted;
+- each further presmoothing sweep reads U z of the last one's iterate;
+- the residual after presmoothing is g - D z - L z - U z, with L z handed
+  on by the last sweep, so it costs one product, U z;
+- each postsmoothing sweep reads one product of the corrected iterate, U z
+  forward or L z reversed.
+
+A triangle product or a triangular solve reads about half of a level
+matrix.  A symmetric cycle with two sweeps each way from a zero start thus
+reads each smoothed level matrix about four times: four triangle products
+and four solves.  MC's cycle, from a nonzero start with two forward sweeps
+before and after the coarse correction and the residual taken at the
+initial iterate, reads it about four and a half times.
 """
 
 from __future__ import annotations
@@ -61,14 +81,25 @@ def estimate_lambda_bound(A, factor=1.0):
     return float(row_sums.max()) * factor
 
 
-def _smooth(A, z, g, params, dec_cache, k, post):
-    if params.smoother == "richardson":
-        lam = dec_cache.lambda_bound(k, params.lambda_bound_factor)
-        r = g - spmv(A, z)
-        z += r / lam
-    else:
-        reverse = post and params.symmetric_smoothing
-        _kernels.gauss_seidel_sweep(A, z, g, reverse)
+def _richardson(A, z, g, lam):
+    z += (g - spmv(A, z)) / lam
+
+
+def _gauss_seidel_presmooth(A, z, g, sweeps, at_initial):
+    """Forward Gauss-Seidel sweeps on z in place; returns the residual to
+    restrict, at the initial iterate or at the presmoothed one."""
+    lower, upper = A.strict_triangles()
+    d = A.diagonal()
+    nonzero = z.any()
+    uz = upper @ z if nonzero else 0.0
+    if at_initial or not sweeps:
+        residual = g - d * z - uz - (lower @ z if nonzero else 0.0)
+    for _ in range(sweeps):
+        lz = _kernels.gauss_seidel_sweep(A, z, g, False, uz)
+        uz = None
+    if at_initial or not sweeps:
+        return residual
+    return g - d * z - lz - upper @ z
 
 
 def mg(k, z0, g, dec, params):
@@ -91,10 +122,14 @@ def mg(k, z0, g, dec, params):
     if z0.shape != (A.nrows,):
         raise InvalidArgumentError("initial guess and rhs sizes differ")
     z = z0.copy()
-    for _ in range(params.m1):
-        _smooth(A, z, g, params, dec, k, post=False)
-    base = z0 if params.variant == "initial_residual" else z
-    residual = g - spmv(A, base)
+    at_initial = params.variant == "initial_residual"
+    if params.smoother == "richardson":
+        lam = dec.lambda_bound(k, params.lambda_bound_factor)
+        for _ in range(params.m1):
+            _richardson(A, z, g, lam)
+        residual = g - spmv(A, z0 if at_initial else z)
+    else:
+        residual = _gauss_seidel_presmooth(A, z, g, params.m1, at_initial)
     R = dec.R[k]
     g_coarse = spmv(R, residual)
     qv = np.zeros(R.nrows)
@@ -102,7 +137,10 @@ def mg(k, z0, g, dec, params):
         qv = mg(k - 1, qv, g_coarse, dec, params)
     z += R.rmatvec(qv)
     for _ in range(params.m2):
-        _smooth(A, z, g, params, dec, k, post=True)
+        if params.smoother == "richardson":
+            _richardson(A, z, g, lam)
+        else:
+            _kernels.gauss_seidel_sweep(A, z, g, params.symmetric_smoothing)
     return z
 
 

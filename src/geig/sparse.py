@@ -51,7 +51,7 @@ class SparseOperator:
     """
 
     __slots__ = ("nrows", "ncols", "row_offsets", "col_indices", "values",
-                 "symmetric", "_csr", "_csr_t", "_diag", "_lower_lu")
+                 "symmetric", "_csr", "_triangles", "_diag", "_lower_lu")
 
     def __init__(self, nrows, ncols, row_offsets, col_indices, values,
                  symmetric=False, _validate=True):
@@ -63,7 +63,7 @@ class SparseOperator:
         self.col_indices = np.ascontiguousarray(col_indices, dtype=index_dtype)
         self.symmetric = bool(symmetric)
         self._csr = None
-        self._csr_t = None
+        self._triangles = None
         self._diag = None
         self._lower_lu = None
         if _validate:
@@ -153,11 +153,17 @@ class SparseOperator:
     def to_dense(self):
         return self.to_scipy().toarray()
 
-    def transpose(self):
-        if self._csr_t is None:
-            self._csr_t = SparseOperator.from_scipy(self.to_scipy().T.tocsr(),
-                                                    symmetric=self.symmetric)
-        return self._csr_t
+    def strict_triangles(self):
+        """(L, U): the strictly lower and upper triangles of a symmetric
+        matrix, as SciPy matrices.
+
+        U is a CSR copy, made once; L is its transposed view, which uses
+        the symmetry L = U^T and shares U's arrays.
+        """
+        if self._triangles is None:
+            upper = scipy.sparse.triu(self.to_scipy(), k=1, format="csr")
+            self._triangles = (upper.T, upper)
+        return self._triangles
 
     def diagonal(self):
         if self._diag is None:
@@ -212,8 +218,18 @@ class SparseOperator:
         return spmv(self, x)
 
     def rmatvec(self, x):
-        """y = A^T x, through the cached transpose."""
-        return spmv(self.transpose(), x)
+        """y = A^T x, through SciPy's transposed view of the CSR.
+
+        Raises
+        ------
+        InvalidArgumentError
+            If len(x) != A.nrows.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (self.nrows,):
+            raise InvalidArgumentError(
+                f"rmatvec: x has shape {x.shape}, operator has {self.nrows} rows")
+        return self.to_scipy().T @ x
 
 
 def spmv(A, x):

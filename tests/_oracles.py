@@ -25,6 +25,34 @@ def reference_gauss_seidel_sweep(dense, x, b, reverse=False):
         x[i] += (b[i] - dense[i] @ x) / dense[i, i]
 
 
+def reference_v_cycle(A, R, k, z0, g, m1, m2, p, variant, symmetric):
+    """One level-k multigrid cycle from dense matrices, textbook form.
+
+    ``A[j]`` is the dense level-j matrix and ``R[j]`` the dense
+    interpolation from level j-1 onto level j.  Level 1 is solved with
+    ``np.linalg.solve``.  The smoother is ``reference_gauss_seidel_sweep``:
+    m1 forward sweeps, the residual at the initial iterate
+    ("initial_residual") or after them ("presmoothed") restricted by R,
+    p recursive cycles from zero, the correction prolongated by R^T, then
+    m2 sweeps, reversed when ``symmetric``.
+    """
+    if k == 1:
+        return np.linalg.solve(A[1], g)
+    z = np.array(z0, dtype=np.float64)
+    for _ in range(m1):
+        reference_gauss_seidel_sweep(A[k], z, g)
+    base = z0 if variant == "initial_residual" else z
+    g_coarse = R[k] @ (g - A[k] @ base)
+    q = np.zeros(len(g_coarse))
+    for _ in range(p):
+        q = reference_v_cycle(A, R, k - 1, q, g_coarse, m1, m2, p, variant,
+                              symmetric)
+    z = z + R[k].T @ q
+    for _ in range(m2):
+        reference_gauss_seidel_sweep(A[k], z, g, reverse=symmetric)
+    return z
+
+
 def tensor_product_eigenvalues(n_cells, count):
     """Closed-form discrete generalized eigenvalues for the unit-coefficient
     bilinear FEM Laplacian on [-1, 1]^2 with n_cells per side.

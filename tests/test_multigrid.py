@@ -15,7 +15,7 @@ from geig.multigrid import (
 from geig.sparse import SparseOperator, make_direct_solver, spmv
 from geig.transform import transform
 
-from _oracles import tridiag_laplacian_spectrum
+from _oracles import reference_v_cycle, tridiag_laplacian_spectrum
 
 
 def build(n, q, field=None, mode="exact"):
@@ -115,6 +115,66 @@ class TestMg:
         K, dec = build(8, 2)
         with pytest.raises(InvalidArgumentError):
             mg(2, np.zeros(3), np.zeros(K.nrows), dec, MgParams())
+
+
+@pytest.fixture(scope="module")
+def checker16():
+    """Grid 16, q 3, localized radius 1, contrast-400 checkerboard: level 2
+    is filled in, level 3 (the stiffness matrix) is sparse.  Returns the
+    decomposition and its dense level matrices and interpolations."""
+    grid = Grid(16)
+    field = gen_checkerboard(seed=2, eps=1.0 / 8, lo=0.05, hi=20.0, grid=grid)
+    K, _ = assemble(grid, field)
+    dec = transform(K, build_hierarchy(3, grid), mode="localized", radius=1)
+    A = {k: dec.A[k].to_dense() for k in range(1, dec.q + 1)}
+    R = {k: dec.R[k].to_dense() for k in range(2, dec.q + 1)}
+    return dec, A, R
+
+
+class TestWholeCycle:
+    """mg and precondition against the dense row-by-row reference cycle."""
+
+    def test_levels_filled_and_sparse(self, checker16):
+        dec, _, _ = checker16
+        assert dec.A[2].fill_fraction() == 1.0
+        assert dec.A[3].fill_fraction() < 0.1
+
+    @pytest.mark.parametrize("zero_start", [False, True], ids=["z0", "zero"])
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("symmetric", [False, True],
+                             ids=["plain", "symmetric"])
+    @pytest.mark.parametrize("variant", ["initial_residual", "presmoothed"])
+    def test_mg_matches_reference(self, checker16, variant, symmetric, p,
+                                  zero_start):
+        dec, A, R = checker16
+        n = dec.level_dim(dec.q)
+        rng = np.random.default_rng(11)
+        g = rng.standard_normal(n)
+        z0 = np.zeros(n) if zero_start else rng.standard_normal(n)
+        params = MgParams(p=p, variant=variant, symmetric_smoothing=symmetric)
+        got = mg(dec.q, z0, g, dec, params)
+        ref = reference_v_cycle(A, R, dec.q, z0, g, params.m1, params.m2, p,
+                                variant, symmetric)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("variant", ["initial_residual", "presmoothed"])
+    def test_no_presmoothing_matches_reference(self, checker16, variant):
+        dec, A, R = checker16
+        n = dec.level_dim(dec.q)
+        rng = np.random.default_rng(13)
+        g, z0 = rng.standard_normal(n), rng.standard_normal(n)
+        got = mg(dec.q, z0, g, dec, MgParams(m1=0, m2=1, variant=variant))
+        ref = reference_v_cycle(A, R, dec.q, z0, g, 0, 1, 1, variant, False)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_precondition_matches_reference(self, checker16):
+        dec, A, R = checker16
+        n = dec.level_dim(dec.q)
+        r = np.random.default_rng(12).standard_normal(n)
+        got = precondition(r, dec)
+        ref = reference_v_cycle(A, R, dec.q, np.zeros(n), r, 2, 2, 1,
+                                "presmoothed", True)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 class TestMgSolve:

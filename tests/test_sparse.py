@@ -42,6 +42,26 @@ class TestSparseOperator:
         assert np.shares_memory(op.col_indices, csr.indices)
         assert np.shares_memory(op.row_offsets, csr.indptr)
 
+    def test_rmatvec_is_transposed_product(self):
+        rng = np.random.default_rng(3)
+        d = rng.standard_normal((5, 7))
+        d[np.abs(d) < 0.7] = 0.0
+        op = SparseOperator.from_dense(d)
+        x = rng.standard_normal(5)
+        np.testing.assert_allclose(op.rmatvec(x), d.T @ x, rtol=1e-14,
+                                   atol=1e-14)
+        with pytest.raises(InvalidArgumentError):
+            op.rmatvec(np.ones(7))
+
+    def test_strict_triangles_share_one_copy(self):
+        a = random_spd(6, np.random.default_rng(4))
+        a = 0.5 * (a + a.T)
+        lower, upper = SparseOperator.from_dense(a, symmetric=True) \
+            .strict_triangles()
+        np.testing.assert_array_equal(upper.toarray(), np.triu(a, 1))
+        np.testing.assert_array_equal(lower.toarray(), np.tril(a, -1))
+        assert np.shares_memory(lower.data, upper.data)
+
     def test_symmetric_flag_check(self):
         a = random_spd(6, np.random.default_rng(1))
         op = SparseOperator.from_dense(a, symmetric=True)
