@@ -266,7 +266,12 @@ def test_property_mc_ritz_upper_bounds_and_m_orthonormal(n, eps, seed,
                                                          log_contrast):
     """On random small checkerboards every Ritz value MC records bounds its
     dense generalized eigenvalue from above, and the final vectors are
-    M-orthonormal.  A run that stalls is judged on the result it carries."""
+    M-orthonormal.  A run that stalls is judged on the result it carries.
+
+    Each sweep's values come from one Rayleigh-Ritz, so the bound holds for
+    them in ascending order; the pair labels can swap inside a near-degenerate
+    cluster (``_match_clusters``), as they do near contrast 1 where
+    lambda_2 and lambda_3 nearly coincide."""
     grid = Grid(n)
     hi = 10.0 ** (0.5 * log_contrast)
     K, M = assemble(grid, gen_checkerboard(seed, eps, 1.0 / hi, hi, grid))
@@ -278,8 +283,10 @@ def test_property_mc_ritz_upper_bounds_and_m_orthonormal(n, eps, seed,
     except NonConvergenceError as exc:
         es, rec = exc.result, exc.history
     expected = fine_spectrum(K, M, 3)
-    for _, _, pair, lam, _, _, _ in rec.rows:
-        assert lam >= expected[pair] * (1.0 - 1e-10)
+    for sweep in range(rec.last_sweep() + 1):
+        ritz = np.sort(list(rec.sweep_values(sweep).values()))
+        assert len(ritz) == 3
+        assert np.all(ritz >= expected * (1.0 - 1e-10))
     V = es.m_normalized()
     gram = V.T @ (M.to_scipy() @ V)
     assert np.abs(gram - np.eye(3)).max() <= 1e-10
