@@ -172,8 +172,8 @@ def rayleigh_ritz(A_sp, M_sp, V):
     return lams, Z @ (C * np.sign(lead))
 
 
-def _energy_normalize(A_k, X):
-    AX = A_k.to_scipy() @ X
+def _energy_normalize(A, X):
+    AX = A @ X
     e = np.einsum("ij,ij->j", X, AX)
     return X / np.sqrt(e)
 
@@ -223,7 +223,7 @@ def correct_block(k, lams, Y, dec, mass, params):
     system; a single Rayleigh-Ritz on the coarsest basis plus all corrected
     vectors then re-extracts the lowest pairs.
     """
-    A_k = dec.A[k]
+    A = dec.galerkin_stiffness(k)
     M_sp = mass[k].to_scipy()
     nev = len(lams)
     v_hat = np.empty_like(Y)
@@ -231,10 +231,10 @@ def correct_block(k, lams, Y, dec, mass, params):
         rhs = lams[j] * (M_sp @ Y[:, j])
         v_hat[:, j] = _solve_level(k, rhs, Y[:, j], dec, params)
     basis = np.column_stack([dec.coarse_basis(k), v_hat])
-    ritz, X = rayleigh_ritz(A_k.to_scipy(), M_sp, basis)
+    ritz, X = rayleigh_ritz(A, M_sp, basis)
     new_lams, X = _match_clusters(ritz[:nev].copy(), X[:, :nev], Y, M_sp)
-    X = _align_signs(Y, M_sp, _energy_normalize(A_k, X))
-    AX = A_k.to_scipy() @ X
+    X = _align_signs(Y, M_sp, _energy_normalize(A, X))
+    AX = A @ X
     MX = M_sp @ X
     res = np.array([
         np.linalg.norm(AX[:, j] - new_lams[j] * MX[:, j])
@@ -242,19 +242,24 @@ def correct_block(k, lams, Y, dec, mass, params):
     return new_lams, X, res
 
 
-def coarse_eigensolve(dec, M, nev):
-    """All-pairs dense solve of the coarsest-level restriction, prolonged to
-    fine coefficients."""
-    mass = dec.mass_levels(M)
+def _coarse_start(dec, mass, nev):
+    """The nev lowest pairs of the fine pencil restricted to the coarsest
+    level, by one dense solve; vectors energy-normalized, in level-1
+    coefficients."""
     n1 = dec.level_dim(1)
     if not 1 <= nev <= n1:
         raise InvalidArgumentError(
             f"nev={nev} exceeds the coarsest space dimension {n1}")
-    res = dense_sym_geig(dec.A[1].to_dense(), mass[1].to_dense())
-    lams = res.lambdas[:nev].copy()
-    Y = res.vectors_energy[:, :nev].copy()
-    V = dec.prolong(1, Y)
-    return EigenSet.from_vectors(dec.A[dec.q], M, lams, V)
+    A_1 = dec.galerkin_stiffness(1) @ np.eye(n1)
+    res = dense_sym_geig(A_1, mass[1].to_dense())
+    return res.lambdas[:nev].copy(), res.vectors_energy[:, :nev].copy()
+
+
+def coarse_eigensolve(dec, M, nev):
+    """All-pairs dense solve of the coarsest-level restriction, prolonged to
+    fine coefficients."""
+    lams, Y = _coarse_start(dec, dec.mass_levels(M), nev)
+    return EigenSet.from_vectors(dec.A[dec.q], M, lams, dec.prolong(1, Y))
 
 
 def multilevel_correction(dec, M, nev, params=None):
@@ -268,14 +273,8 @@ def multilevel_correction(dec, M, nev, params=None):
     if params is None:
         params = McParams()
     mass = dec.mass_levels(M)
-    n1 = dec.level_dim(1)
-    if not 1 <= nev <= n1:
-        raise InvalidArgumentError(
-            f"nev={nev} exceeds the coarsest space dimension {n1}")
+    lams, Y = _coarse_start(dec, mass, nev)
     record = ConvergenceRecord()
-    res = dense_sym_geig(dec.A[1].to_dense(), mass[1].to_dense())
-    lams = res.lambdas[:nev].copy()
-    Y = res.vectors_energy[:, :nev].copy()
     sweep = 0
     for j in range(nev):
         record.add(sweep, 1, j, lams[j], np.nan, np.nan)

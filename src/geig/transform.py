@@ -6,9 +6,13 @@ R = pi (I - A W^T B^{-1} W), and coarsens A through the Galerkin triple
 product.  The B-inverse applications are LAPACK Cholesky solves: exact
 mode factors all of B once; localized mode factors B restricted to a
 lattice ball around each coarse cell (the exact energy minimizer on that
-subdomain) and thresholds the resulting interpolation entries, which keeps
-every level sparse.  A filled-in B goes through the dense Cholesky, a sparse
-one through the banded Cholesky.
+subdomain) and thresholds the resulting interpolation entries.  Localized
+mode also truncates each coarse level A_{k-1}: it drops the off-diagonal
+entries that are negligible against the diagonal, which the exponential
+decay of the gamblet level matrices allows, and checks by a sparse
+factorization that the truncated level is still SPD.  So every level stays
+sparse; the fine level is the input matrix, never truncated.  A filled-in B
+goes through the dense Cholesky, a sparse one through the banded Cholesky.
 
 A dense oracle (inverse of the aggregated resolvent) is provided for
 testing the recursion at small sizes.
@@ -24,6 +28,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 from .errors import (
     InvalidArgumentError,
@@ -44,6 +49,9 @@ from .sparse import (
 # sparser one is kept as its band only.
 _DENSE_BLOCK_FILL = 0.15
 _DENSE_BLOCK_ROWS = 6000
+# Localized mode drops the off-diagonal entries a_ij of each coarse level
+# with |a_ij| <= _LEVEL_DROP_TOL * sqrt(a_ii a_jj).
+_LEVEL_DROP_TOL = 1e-4
 # Right-hand sides per solve with the factored block in exact mode; keeps
 # the dense work arrays at (block rows) x _EXACT_BLOCK_COLUMNS.
 _EXACT_BLOCK_COLUMNS = 256
@@ -85,6 +93,29 @@ class GambletDecomposition:
         for j in range(k + 1, self.q + 1):
             out = self.R[j].to_scipy().T @ out
         return out
+
+    def galerkin_stiffness(self, k):
+        """The fine matrix restricted to level k, P A_q P^T with P^T the
+        map :meth:`prolong`, as a SciPy matrix or operator.
+
+        That is ``A[k]`` itself, except on the coarse levels of a localized
+        decomposition, whose ``A[k]`` are truncated: there it is applied
+        through the interpolations, so that Rayleigh quotients at level k
+        are those of the fine matrix.
+        """
+        if self.mode == "exact" or k == self.q:
+            return self.A[k].to_scipy()
+        A_fine = self.A[self.q].to_scipy()
+
+        def apply(X):
+            out = A_fine @ self.prolong(k, X)
+            for j in range(self.q, k, -1):
+                out = self.R[j].to_scipy() @ out
+            return out
+
+        n = self.level_dim(k)
+        return scipy.sparse.linalg.LinearOperator(
+            (n, n), matvec=apply, matmat=apply, dtype=np.float64)
 
     def coarse_basis(self, k):
         """Dense matrix of the coarsest-level basis expressed at level k."""
@@ -201,9 +232,14 @@ def transform(A_fine, hier, mode="exact", radius=_DEFAULT_RADIUS,
     hier : Hierarchy
     mode : "exact" or "localized"
         Exact mode keeps every interpolation entry and solves with the
-        whole wavelet block; localized mode restricts each block solve to a
-        lattice ball (radius grows linearly with dyadic depth) and drops
-        entries at or below ``droptol``.  Both solve directly, by Cholesky.
+        whole wavelet block; its levels are the exact Galerkin hierarchy.
+        Localized mode restricts each block solve to a lattice ball (radius
+        grows linearly with dyadic depth) and drops interpolation entries
+        at or below ``droptol``.  It then truncates each coarse level A_k,
+        k < q, to its diagonal and the off-diagonal entries with
+        |a_ij| > ``_LEVEL_DROP_TOL`` sqrt(a_ii a_jj), checks that the result
+        is SPD, and builds the next level from it.  The fine level A_q is
+        ``A_fine`` itself in both modes.  Both solve directly, by Cholesky.
     track_vectors : bool
         Keep per-level basis coefficient matrices for diagnostics.  Dense
         storage, intended for small problems.
@@ -215,8 +251,8 @@ def transform(A_fine, hier, mode="exact", radius=_DEFAULT_RADIUS,
     Raises
     ------
     NotPositiveDefiniteError
-        When a wavelet block (or a ball block of it) is not SPD; the
-        message names the level.
+        When a wavelet block (or a ball block of it), or a truncated coarse
+        level, is not SPD; the message names the level.
     """
     if mode not in ("exact", "localized"):
         raise InvalidArgumentError(f"unknown transform mode {mode!r}")
@@ -251,6 +287,8 @@ def transform(A_fine, hier, mode="exact", radius=_DEFAULT_RADIUS,
                                          radius, droptol)
         R_levels[k] = R_k
         A_levels[k - 1] = galerkin_triple(R_k, A_k)
+        if mode == "localized":
+            A_levels[k - 1] = _truncate_level(A_levels[k - 1], k - 1)
         if track_vectors:
             psi_k = Psi[k]
             if isinstance(psi_k, SparseOperator):
@@ -317,6 +355,40 @@ def _adapted_interpolation(A_k, B_k, W, pi, hier, k, mode, radius, droptol):
     R.data[np.abs(R.data) <= droptol] = 0.0
     R.eliminate_zeros()
     return SparseOperator.from_scipy(R)
+
+
+def _truncate_level(A, k):
+    """Coarse level ``A`` without its off-diagonal entries a_ij with
+    |a_ij| <= _LEVEL_DROP_TOL * sqrt(a_ii a_jj), checked to be SPD.
+
+    The rule is symmetric in i and j, so the result stays symmetric.  The
+    check is one sparse LU with diagonal pivots in a symmetric fill-reducing
+    order, that is an LDL^T factorization: the truncated matrix is SPD
+    exactly when every pivot is positive.
+
+    Raises
+    ------
+    NotPositiveDefiniteError
+        When a pivot is not positive; the message names level ``k``.
+    """
+    scale = np.sqrt(np.abs(A.diagonal()))
+    coo = A.to_scipy().tocoo()
+    keep = (coo.row == coo.col) | (
+        np.abs(coo.data) > _LEVEL_DROP_TOL * scale[coo.row] * scale[coo.col])
+    T = SparseOperator.from_coo(coo.row[keep], coo.col[keep], coo.data[keep],
+                                A.shape, symmetric=True)
+    message = f"truncated stiffness at level {k} is not positive definite"
+    try:
+        lu = scipy.sparse.linalg.splu(
+            T.to_scipy().tocsc(), permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        # SuperLU stops at an exactly zero pivot
+        raise NotPositiveDefiniteError(message) from exc
+    if not (np.array_equal(lu.perm_r, lu.perm_c)
+            and np.all(lu.U.diagonal() > 0.0)):
+        raise NotPositiveDefiniteError(message)
+    return T
 
 
 def oracle_level_matrices(A_fine, Pi_k):

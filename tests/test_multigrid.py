@@ -117,36 +117,31 @@ class TestMg:
             mg(2, np.zeros(3), np.zeros(K.nrows), dec, MgParams())
 
 
-@pytest.fixture(scope="module")
-def checker16():
-    """Grid 16, q 3, localized radius 1, contrast-400 checkerboard: level 2
-    is filled in, level 3 (the stiffness matrix) is sparse.  Returns the
-    decomposition and its dense level matrices and interpolations."""
+def checker16(mode):
+    """Grid 16, q 3, radius-1 transform in ``mode`` of a contrast-400
+    checkerboard.  Returns the decomposition and its dense level matrices
+    and interpolations."""
     grid = Grid(16)
     field = gen_checkerboard(seed=2, eps=1.0 / 8, lo=0.05, hi=20.0, grid=grid)
     K, _ = assemble(grid, field)
-    dec = transform(K, build_hierarchy(3, grid), mode="localized", radius=1)
+    dec = transform(K, build_hierarchy(3, grid), mode=mode, radius=1)
     A = {k: dec.A[k].to_dense() for k in range(1, dec.q + 1)}
     R = {k: dec.R[k].to_dense() for k in range(2, dec.q + 1)}
     return dec, A, R
 
 
-class TestWholeCycle:
-    """mg and precondition against the dense row-by-row reference cycle."""
-
-    def test_levels_filled_and_sparse(self, checker16):
-        dec, _, _ = checker16
-        assert dec.A[2].fill_fraction() == 1.0
-        assert dec.A[3].fill_fraction() < 0.1
+class WholeCycleOracles:
+    """mg and precondition against the dense row-by-row reference cycle,
+    on the decomposition of the subclass's ``levels`` fixture."""
 
     @pytest.mark.parametrize("zero_start", [False, True], ids=["z0", "zero"])
     @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("symmetric", [False, True],
                              ids=["plain", "symmetric"])
     @pytest.mark.parametrize("variant", ["initial_residual", "presmoothed"])
-    def test_mg_matches_reference(self, checker16, variant, symmetric, p,
+    def test_mg_matches_reference(self, levels, variant, symmetric, p,
                                   zero_start):
-        dec, A, R = checker16
+        dec, A, R = levels
         n = dec.level_dim(dec.q)
         rng = np.random.default_rng(11)
         g = rng.standard_normal(n)
@@ -158,8 +153,8 @@ class TestWholeCycle:
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("variant", ["initial_residual", "presmoothed"])
-    def test_no_presmoothing_matches_reference(self, checker16, variant):
-        dec, A, R = checker16
+    def test_no_presmoothing_matches_reference(self, levels, variant):
+        dec, A, R = levels
         n = dec.level_dim(dec.q)
         rng = np.random.default_rng(13)
         g, z0 = rng.standard_normal(n), rng.standard_normal(n)
@@ -167,14 +162,42 @@ class TestWholeCycle:
         ref = reference_v_cycle(A, R, dec.q, z0, g, 0, 1, 1, variant, False)
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
-    def test_precondition_matches_reference(self, checker16):
-        dec, A, R = checker16
+    def test_precondition_matches_reference(self, levels):
+        dec, A, R = levels
         n = dec.level_dim(dec.q)
         r = np.random.default_rng(12).standard_normal(n)
         got = precondition(r, dec)
         ref = reference_v_cycle(A, R, dec.q, np.zeros(n), r, 2, 2, 1,
                                 "presmoothed", True)
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+class TestWholeCycle(WholeCycleOracles):
+    """Exact mode: level 2 is filled in, level 3 (the stiffness matrix) is
+    sparse."""
+
+    @pytest.fixture(scope="class")
+    def levels(self):
+        return checker16("exact")
+
+    def test_levels_filled_and_sparse(self, levels):
+        dec, _, _ = levels
+        assert dec.A[2].fill_fraction() == 1.0
+        assert dec.A[3].fill_fraction() < 0.1
+
+
+class TestWholeCycleLocalized(WholeCycleOracles):
+    """Localized mode: level 2 is truncated, so every level is sparse."""
+
+    @pytest.fixture(scope="class")
+    def levels(self):
+        return checker16("localized")
+
+    def test_levels_truncated_and_sparse(self, levels):
+        dec, _, _ = levels
+        # untruncated, this level is filled in (fill fraction 1.0)
+        assert dec.A[2].fill_fraction() < 0.5
+        assert dec.A[3].fill_fraction() < 0.1
 
 
 class TestMgSolve:

@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+from geig.correction import McParams, multilevel_correction
 from geig.errors import (
     InvalidArgumentError,
     NotPositiveDefiniteError,
@@ -8,9 +11,12 @@ from geig.errors import (
 )
 from geig.fem import CoefficientField, Grid, assemble, gen_checkerboard
 from geig.hierarchy import build_hierarchy
+from geig.lobpcg import GambletPreconditioner, LobpcgParams, lobpcg
 from geig.sparse import SparseOperator, galerkin_triple
 from geig.transform import (
     _DENSE_BLOCK_FILL,
+    _LEVEL_DROP_TOL,
+    _truncate_level,
     decay_profile,
     load_decomposition,
     oracle_level_matrices,
@@ -232,6 +238,94 @@ class TestLocalized:
         K, _, hier = make_problem(8, 2)
         with pytest.raises(InvalidArgumentError):
             transform(K, hier, mode="localized", radius=0)
+
+
+def checker_problem(n, q, seed):
+    """Contrast-400 checkerboard of 1/8 blocks: stiffness, mass, hierarchy."""
+    grid = Grid(n)
+    field = gen_checkerboard(seed=seed, eps=1.0 / 8, lo=0.05, hi=20.0,
+                             grid=grid)
+    K, M = assemble(grid, field)
+    return K, M, build_hierarchy(q, grid)
+
+
+class TestLevelTruncation:
+    def test_drops_exactly_the_negligible_entries(self):
+        K, _, hier = checker_problem(32, 4, seed=2)
+        dec = transform(K, hier, mode="localized", radius=1)
+        assert dec.A[dec.q] is K
+        for k in range(2, dec.q + 1):
+            full = galerkin_triple(dec.R[k], dec.A[k]).to_dense()
+            kept = dec.A[k - 1].to_dense()
+            d = np.diag(full)
+            np.testing.assert_array_equal(np.diag(kept), d)
+            stored = np.zeros(full.shape, dtype=bool)
+            stored[dec.A[k - 1].to_scipy().nonzero()] = True
+            np.fill_diagonal(stored, False)
+            big = np.abs(full) > _LEVEL_DROP_TOL * np.sqrt(np.outer(d, d))
+            np.fill_diagonal(big, False)
+            np.testing.assert_array_equal(stored, big)
+            np.testing.assert_array_equal(kept[stored], full[stored])
+            dropped = (full != 0.0) & ~stored
+            np.fill_diagonal(dropped, False)
+            assert dropped.any(), f"level {k - 1}"
+
+    def test_exact_mode_keeps_the_galerkin_levels(self):
+        K, _, hier = checker_problem(16, 3, seed=2)
+        dec = transform(K, hier, mode="exact")
+        assert dec.A[dec.q] is K
+        for k in range(2, dec.q + 1):
+            full = galerkin_triple(dec.R[k], dec.A[k])
+            assert dec.A[k - 1].nnz == full.nnz
+            np.testing.assert_array_equal(dec.A[k - 1].to_dense(),
+                                          full.to_dense())
+
+    @pytest.mark.parametrize("mode", ["exact", "localized"])
+    def test_galerkin_stiffness_restricts_the_fine_matrix(self, mode):
+        K, _, hier = checker_problem(16, 3, seed=2)
+        dec = transform(K, hier, mode=mode, radius=1)
+        for k in range(1, dec.q + 1):
+            eye = np.eye(dec.level_dim(k))
+            P = dec.prolong(k, eye)
+            ref = P.T @ K.to_dense() @ P
+            got = dec.galerkin_stiffness(k) @ eye
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+            if mode == "exact" or k == dec.q:
+                assert dec.galerkin_stiffness(k) is dec.A[k].to_scipy()
+
+    def test_indefinite_truncation_refused_naming_the_level(self):
+        # rows 2 and 3 couple through row 1 alone once their small entry
+        # s is dropped: the kept matrix has the eigenvalue 1 - sqrt(2) g
+        # = -s / 10 along (sqrt 2, 1, 1); s adds about s / 2 to it
+        s = _LEVEL_DROP_TOL
+        g = (1.0 + s / 10) / np.sqrt(2.0)
+        full = np.array([[1.0, -g, -g], [-g, 1.0, s], [-g, s, 1.0]])
+        kept = full.copy()
+        kept[1, 2] = kept[2, 1] = 0.0
+        assert np.linalg.eigvalsh(full)[0] > 0 > np.linalg.eigvalsh(kept)[0]
+        A = SparseOperator.from_dense(full, symmetric=True)
+        with pytest.raises(NotPositiveDefiniteError, match="level 2"):
+            _truncate_level(A, 2)
+
+    def test_eigenvalues_match_untruncated_levels(self, monkeypatch):
+        K, M, hier = checker_problem(32, 4, seed=5)
+        X0 = np.random.default_rng(3).standard_normal((K.nrows, 4))
+
+        def solve():
+            dec = transform(K, hier, mode="localized", radius=1)
+            es_mc, _ = multilevel_correction(dec, M, 4, McParams(tol=1e-12))
+            es_lo, _ = lobpcg(K, M, GambletPreconditioner(dec), X0, 4,
+                              LobpcgParams(tol=1e-8, maxit=200))
+            return dec, es_mc.lambdas, es_lo.lambdas
+
+        dec_t, mc_t, lo_t = solve()
+        monkeypatch.setattr(sys.modules[transform.__module__],
+                            "_LEVEL_DROP_TOL", 0.0)
+        dec_f, mc_f, lo_f = solve()
+        assert dec_t.A[hier.q - 1].nnz < dec_f.A[hier.q - 1].nnz
+        np.testing.assert_allclose(mc_t, mc_f, rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(lo_t, lo_f, rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(mc_t, lo_t, rtol=1e-10, atol=0.0)
 
 
 def shifted_to_indefinite(A0, hier):
