@@ -6,6 +6,13 @@ more) correction sweeps, each consisting of a multigrid-approximated linear
 solve followed by a small Rayleigh-Ritz step on the coarsest space augmented
 with the corrected vectors.  At the finest level the sweeps repeat until the
 eigenvalues stop moving.
+
+Every level-k space sits inside the fine space, so every Rayleigh-Ritz step,
+the coarsest solve included, runs on the fine pencil (K, M) with the basis
+prolonged to fine coefficients.  No level mass matrix is built, and the
+truncated coarse stiffness matrices of a localized decomposition serve the
+multigrid solves only, so every recorded Ritz value bounds its fine
+eigenvalue from above.
 """
 
 from __future__ import annotations
@@ -83,9 +90,8 @@ class EigenSet:
         V = V * scale
         KV = KV * scale
         MV = M_sp @ V
-        res = np.array([
-            np.linalg.norm(KV[:, j] - lambdas[j] * MV[:, j])
-            / np.linalg.norm(KV[:, j]) for j in range(V.shape[1])])
+        res = (np.linalg.norm(KV - MV * lambdas, axis=0)
+               / np.linalg.norm(KV, axis=0))
         m_norms = np.sqrt(np.einsum("ij,ij->j", V, MV))
         return cls(lambdas=lambdas, vectors=V, residuals=res, m_norms=m_norms)
 
@@ -144,8 +150,12 @@ def m_orthonormalize(V, M_sp):
     (D = diag(V^T M V)^{-1/2}) and keeps the directions whose eigenvalue is
     at least ``_BASIS_DROP_TOL`` times the largest, so numerically dependent
     columns are dropped.  The returned columns mix the input columns.
+
+    Returns (Z, T): the basis Z and the transform T with Z = V T, up to
+    roundoff.
     """
     Z = np.asarray(V, dtype=np.float64)
+    T = None
     for _ in range(2):
         G = Z.T @ (M_sp @ Z)
         d = np.sqrt(np.abs(np.diag(G)))
@@ -154,39 +164,33 @@ def m_orthonormalize(V, M_sp):
         if theta[-1] <= 0.0:
             raise DegenerateBasisError("all trial directions collapsed")
         keep = theta > _BASIS_DROP_TOL * theta[-1]
-        Z = Z @ (U[:, keep] / d[:, None] / np.sqrt(theta[keep]))
-    return Z
+        S = U[:, keep] / d[:, None] / np.sqrt(theta[keep])
+        Z = Z @ S
+        T = S if T is None else T @ S
+    return Z, T
 
 
 def rayleigh_ritz(A_sp, M_sp, V):
     """Rayleigh-Ritz for the pencil (A, M) on span(V).
 
-    Returns every Ritz value in ascending order and the matching
-    M-orthonormal Ritz vectors.  Each coefficient vector has its
-    largest-magnitude component made positive, so the output is
-    deterministic.
+    Returns every Ritz value in ascending order, the matching M-orthonormal
+    Ritz vectors X, and their coefficients C in the columns of V
+    (X = V C up to roundoff), which carry the Ritz vectors to any other
+    coordinates of the same basis.  Each eigenvector of the projected
+    pencil has its largest-magnitude component made positive, so the output
+    is deterministic.
     """
-    Z = m_orthonormalize(V, M_sp)
+    Z, T = m_orthonormalize(V, M_sp)
     lams, C = scipy.linalg.eigh(Z.T @ (A_sp @ Z))
     lead = C[np.argmax(np.abs(C), axis=0), np.arange(C.shape[1])]
-    return lams, Z @ (C * np.sign(lead))
-
-
-def _energy_normalize(A, X):
-    AX = A @ X
-    e = np.einsum("ij,ij->j", X, AX)
-    return X / np.sqrt(e)
-
-
-def _align_signs(Y_old, M_sp, X):
-    overlap = np.einsum("ij,ij->j", Y_old, M_sp @ X)
-    X[:, overlap < 0] *= -1.0
-    return X
+    C = C * np.sign(lead)
+    return lams, Z @ C, T @ C
 
 
 def _match_clusters(lams, X, Y_old, M_sp):
-    """Reorder Ritz pairs inside near-degenerate clusters by maximal overlap
-    with the incoming block."""
+    """Order of the Ritz pairs that keeps ascending values but, inside each
+    near-degenerate cluster, gives every incoming vector the new vector it
+    overlaps most."""
     nev = len(lams)
     order = list(range(nev))
     i = 0
@@ -204,7 +208,7 @@ def _match_clusters(lams, X, Y_old, M_sp):
                 taken.append(best)
             order[i:j] = taken
         i = j
-    return lams[order], X[:, order]
+    return order
 
 
 def _solve_level(k, rhs, guess, dec, params):
@@ -216,50 +220,65 @@ def _solve_level(k, rhs, guess, dec, params):
     return mg(k, guess, rhs, dec, params.mg)
 
 
-def correct_block(k, lams, Y, dec, mass, params):
+def correct_block(k, lams, Y, Yf, dec, M, params):
     """One joint correction sweep for a block of pairs at level k.
 
-    Each pair gets a multigrid-approximated solve of the shifted linear
-    system; a single Rayleigh-Ritz on the coarsest basis plus all corrected
-    vectors then re-extracts the lowest pairs.
+    The block comes in two coordinates: ``Y`` in level-k coefficients, the
+    multigrid guess, and ``Yf = dec.prolong(k, Y)`` in fine ones.  Each pair
+    gets a multigrid-approximated solve of A_k v = lambda M_k y, whose
+    right-hand side is the fine product M Yf restricted to level k.  One
+    Rayleigh-Ritz with the fine pencil (K, M) on the coarsest basis plus all
+    prolonged solutions then re-extracts the lowest pairs, and its
+    coefficients give them in both coordinates.
+
+    Returns (lambdas, X, Xf, residuals): X in level-k coefficients, Xf =
+    prolong(k, X), energy-normalized, with the sign of Yf, and the level-k
+    relative residuals ||P (K Xf - lambda M Xf)|| / ||P K Xf||, P the
+    restriction to level k.
     """
-    A = dec.galerkin_stiffness(k)
-    M_sp = mass[k].to_scipy()
+    K_sp = dec.A[dec.q].to_scipy()
+    M_sp = M.to_scipy()
     nev = len(lams)
+    rhs = dec.restrict(k, M_sp @ Yf) * lams
     v_hat = np.empty_like(Y)
     for j in range(nev):
-        rhs = lams[j] * (M_sp @ Y[:, j])
-        v_hat[:, j] = _solve_level(k, rhs, Y[:, j], dec, params)
-    basis = np.column_stack([dec.coarse_basis(k), v_hat])
-    ritz, X = rayleigh_ritz(A, M_sp, basis)
-    new_lams, X = _match_clusters(ritz[:nev].copy(), X[:, :nev], Y, M_sp)
-    X = _align_signs(Y, M_sp, _energy_normalize(A, X))
-    AX = A @ X
-    MX = M_sp @ X
-    res = np.array([
-        np.linalg.norm(AX[:, j] - new_lams[j] * MX[:, j])
-        / np.linalg.norm(AX[:, j]) for j in range(nev)])
-    return new_lams, X, res
+        v_hat[:, j] = _solve_level(k, rhs[:, j], Y[:, j], dec, params)
+    basis = np.column_stack([dec.coarse_basis(dec.q), dec.prolong(k, v_hat)])
+    ritz, Xf, C = rayleigh_ritz(K_sp, M_sp, basis)
+    order = _match_clusters(ritz[:nev], Xf[:, :nev], Yf, M_sp)
+    new_lams, Xf, C = ritz[order], Xf[:, order], C[:, order]
+    KXf = K_sp @ Xf
+    MXf = M_sp @ Xf
+    scale = 1.0 / np.sqrt(np.einsum("ij,ij->j", Xf, KXf))
+    scale[np.einsum("ij,ij->j", Yf, MXf) < 0] *= -1.0
+    Xf, KXf, MXf, C = Xf * scale, KXf * scale, MXf * scale, C * scale
+    X = Xf if k == dec.q else \
+        np.column_stack([dec.coarse_basis(k), v_hat]) @ C
+    res = (np.linalg.norm(dec.restrict(k, KXf - MXf * new_lams), axis=0)
+           / np.linalg.norm(dec.restrict(k, KXf), axis=0))
+    return new_lams, X, Xf, res
 
 
-def _coarse_start(dec, mass, nev):
-    """The nev lowest pairs of the fine pencil restricted to the coarsest
-    level, by one dense solve; vectors energy-normalized, in level-1
-    coefficients."""
+def _coarse_start(dec, M, nev):
+    """The nev lowest pairs of the fine pencil on the coarsest space, by one
+    dense solve of (P^T K P, P^T M P) with P = ``dec.coarse_basis(q)``;
+    vectors energy-normalized, in level-1 and in fine coefficients."""
     n1 = dec.level_dim(1)
     if not 1 <= nev <= n1:
         raise InvalidArgumentError(
             f"nev={nev} exceeds the coarsest space dimension {n1}")
-    A_1 = dec.galerkin_stiffness(1) @ np.eye(n1)
-    res = dense_sym_geig(A_1, mass[1].to_dense())
-    return res.lambdas[:nev].copy(), res.vectors_energy[:, :nev].copy()
+    P = dec.coarse_basis(dec.q)
+    res = dense_sym_geig(P.T @ (dec.A[dec.q].to_scipy() @ P),
+                         P.T @ (M.to_scipy() @ P))
+    Y = res.vectors_energy[:, :nev].copy()
+    return res.lambdas[:nev].copy(), Y, P @ Y
 
 
 def coarse_eigensolve(dec, M, nev):
     """All-pairs dense solve of the coarsest-level restriction, prolonged to
     fine coefficients."""
-    lams, Y = _coarse_start(dec, dec.mass_levels(M), nev)
-    return EigenSet.from_vectors(dec.A[dec.q], M, lams, dec.prolong(1, Y))
+    lams, _, Yf = _coarse_start(dec, M, nev)
+    return EigenSet.from_vectors(dec.A[dec.q], M, lams, Yf)
 
 
 def multilevel_correction(dec, M, nev, params=None):
@@ -272,17 +291,16 @@ def multilevel_correction(dec, M, nev, params=None):
     """
     if params is None:
         params = McParams()
-    mass = dec.mass_levels(M)
-    lams, Y = _coarse_start(dec, mass, nev)
+    lams, Y, Yf = _coarse_start(dec, M, nev)
     record = ConvergenceRecord()
     sweep = 0
     for j in range(nev):
         record.add(sweep, 1, j, lams[j], np.nan, np.nan)
 
     def run_sweep(k):
-        nonlocal lams, Y, sweep
+        nonlocal lams, Y, Yf, sweep
         old = lams.copy()
-        lams, Y, res_k = correct_block(k, lams, Y, dec, mass, params)
+        lams, Y, Yf, res_k = correct_block(k, lams, Y, Yf, dec, M, params)
         sweep += 1
         rel = np.abs(lams - old) / np.abs(lams)
         for j in range(nev):
@@ -298,7 +316,7 @@ def multilevel_correction(dec, M, nev, params=None):
     while max_rel > params.tol and extra < params.fine_level_extra:
         max_rel = run_sweep(dec.q)
         extra += 1
-    eigset = EigenSet.from_vectors(dec.A[dec.q], M, lams, Y)
+    eigset = EigenSet.from_vectors(dec.A[dec.q], M, lams, Yf)
     if max_rel > params.tol:
         raise NonConvergenceError(
             f"fine-level sweeps stalled at relative change {max_rel:.3e} "

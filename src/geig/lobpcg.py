@@ -149,7 +149,7 @@ def lobpcg(K, M, B, X0, nev, params=None, record=None, phase=None, level=0,
         raise InvalidArgumentError(
             f"initial block has {X0.shape[1]} columns, need at least {nev}")
     K_sp, M_sp = K.to_scipy(), M.to_scipy()
-    ritz, X = rayleigh_ritz(K_sp, M_sp, X0)
+    ritz, X, _ = rayleigh_ritz(K_sp, M_sp, X0)
     if len(ritz) < nev:
         raise InvalidArgumentError("initial block is numerically dependent")
     ritz, X = ritz[:nev], X[:, :nev]
@@ -179,7 +179,7 @@ def lobpcg(K, M, B, X0, nev, params=None, record=None, phase=None, level=0,
             break
         Wb = B.apply_block(R)
         blocks = [X, Wb] if P is None else [X, Wb, P]
-        lams, V = rayleigh_ritz(K_sp, M_sp, np.column_stack(blocks))
+        lams, V, _ = rayleigh_ritz(K_sp, M_sp, np.column_stack(blocks))
         if len(lams) < nev:
             raise DegenerateBasisError("trial basis lost rank")
         X_new = V[:, :nev]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from geig.correction import (
     _CLUSTER_RTOL,
+    _coarse_start,
     EigenSet,
     McParams,
     coarse_eigensolve,
@@ -43,6 +44,19 @@ def fine_spectrum(K, M, count):
     return lams[:count]
 
 
+def record_coarse_pencils(monkeypatch):
+    """List that collects the (A_1, M_1) of every coarse start."""
+    pencils = []
+
+    def recording_dense_sym_geig(A_1, M_1):
+        pencils.append((np.array(A_1), np.array(M_1)))
+        return dense_sym_geig(A_1, M_1)
+
+    monkeypatch.setattr("geig.correction.dense_sym_geig",
+                        recording_dense_sym_geig)
+    return pencils
+
+
 class TestCoarseEigensolve:
     def test_single_level_equals_full_problem(self):
         K, M, dec = setup_problem(4, 1)
@@ -56,17 +70,40 @@ class TestCoarseEigensolve:
         lam_fine = fine_spectrum(K, M, 1)[0]
         assert es.lambdas[0] >= lam_fine
 
-    def test_coarse_matrices_match_projected_oracle(self):
-        K, M, dec = setup_problem(16, 3, track=True)
-        hier = dec.hierarchy
-        _, a_oracle = oracle_level_matrices(K, hier.aggregate(1))
-        np.testing.assert_allclose(dec.A[1].to_dense(), a_oracle,
-                                   rtol=1e-10, atol=1e-12)
-        psi1, _ = wavelet_vectors(dec, 1)
-        m_oracle = psi1 @ M.to_dense() @ psi1.T
-        mass = dec.mass_levels(M)
-        np.testing.assert_allclose(mass[1].to_dense(), m_oracle,
-                                   rtol=1e-10, atol=1e-14)
+    def test_coarse_matrices_match_projected_oracle(self, monkeypatch):
+        pencils = record_coarse_pencils(monkeypatch)
+        for mode in ("exact", "localized"):
+            K, M, dec = setup_problem(16, 3, mode=mode, track=True)
+            _, a_oracle = oracle_level_matrices(K, dec.hierarchy.aggregate(1))
+            pencils.clear()
+            coarse_eigensolve(dec, M, 1)
+            [(a_1, m_1)] = pencils
+            P = dec.prolong(1, np.eye(dec.level_dim(1)))
+            np.testing.assert_allclose(a_1, P.T @ K.to_dense() @ P,
+                                       rtol=1e-10, atol=1e-12)
+            psi1, _ = wavelet_vectors(dec, 1)
+            m_oracle = psi1 @ M.to_dense() @ psi1.T
+            np.testing.assert_allclose(m_1, m_oracle, rtol=1e-10, atol=1e-14)
+            if mode == "exact":
+                np.testing.assert_allclose(dec.A[1].to_dense(), a_oracle,
+                                           rtol=1e-10, atol=1e-12)
+                np.testing.assert_allclose(a_1, a_oracle,
+                                           rtol=1e-10, atol=1e-12)
+            else:
+                # the truncated level-1 stiffness is not the coarse pencil's
+                assert np.abs(dec.A[1].to_dense() - a_1).max() > 1e-8
+
+    def test_each_mass_matrix_gets_its_own_coarse_start(self, monkeypatch):
+        _, M, dec = setup_problem(8, 2)
+        pencils = record_coarse_pencils(monkeypatch)
+        scales = (1.0, 2.0, 3.0, 4.0)
+        for scale in scales:
+            scaled = SparseOperator.from_scipy(scale * M.to_scipy(), symmetric=True)
+            coarse_eigensolve(dec, scaled, 1)
+        base = pencils[0][1]
+        for scale, (_, m_1) in zip(scales, pencils):
+            np.testing.assert_allclose(m_1, scale * base,
+                                       rtol=1e-13, atol=1e-15)
 
     def test_nev_too_large(self):
         _, M, dec = setup_problem(16, 3)
@@ -81,55 +118,71 @@ class TestCoarseEigensolve:
             assert abs(v @ K.to_scipy() @ v - 1.0) <= 1e-10
 
 
-class TestMassLevels:
-    def test_each_mass_matrix_gets_its_own_restrictions(self):
-        _, M, dec = setup_problem(8, 2)
-        base = dec.mass_levels(M)[1].to_dense()
-        for scale in (2.0, 3.0, 4.0):
-            scaled = SparseOperator.from_scipy(scale * M.to_scipy(), symmetric=True)
-            levels = dec.mass_levels(scaled)
-            assert levels[dec.q] is scaled
-            assert dec.mass_levels(scaled) is levels
-            np.testing.assert_allclose(levels[1].to_dense(), scale * base,
-                                       rtol=1e-13, atol=1e-15)
-
-
 class TestOneCorrection:
-    """A single-pair sweep of correct_block on the lowest pair."""
+    """Single sweeps of correct_block."""
 
     def test_fixed_point_on_exact_pair(self):
         K, M, dec = setup_problem(16, 3)
-        mass = dec.mass_levels(M)
         k = 2
-        res = dense_sym_geig(dec.A[k].to_dense(), mass[k].to_dense())
+        P = dec.prolong(k, np.eye(dec.level_dim(k)))
+        res = dense_sym_geig(dec.A[k].to_dense(), P.T @ M.to_dense() @ P)
         lam, y = res.lambdas[0], res.vectors_energy[:, 0]
         params = McParams(exact_inner=True)
-        lam_out, y_out, _ = correct_block(k, res.lambdas[:1], y[:, None],
-                                          dec, mass, params)
+        lam_out, y_out, yf_out, _ = correct_block(
+            k, res.lambdas[:1], y[:, None], P @ y[:, None], dec, M, params)
         assert abs(lam_out[0] - lam) <= 1e-10 * lam
         assert np.linalg.norm(y_out[:, 0] - y) <= 1e-8
+        assert np.linalg.norm(yf_out[:, 0] - P @ y) <= 1e-8
 
     def test_matches_dense_subspace_oracle(self):
-        K, M, dec = setup_problem(16, 3)
-        mass = dec.mass_levels(M)
-        es = coarse_eigensolve(dec, M, 1)
-        k = dec.q
-        y = es.vectors[:, 0]
-        lam = es.lambdas[0]
-        params = McParams()
-        lam_out, _, _ = correct_block(k, es.lambdas, es.vectors, dec, mass,
-                                      params)
-        v_hat = mg(k, y, lam * (M.to_scipy() @ y), dec, params.mg)
-        Z = np.column_stack([dec.coarse_basis(k), v_hat])
-        G_a = Z.T @ K.to_dense() @ Z
-        G_m = Z.T @ M.to_dense() @ Z
-        ritz = scipy.linalg.eigh(0.5 * (G_a + G_a.T), 0.5 * (G_m + G_m.T),
-                                 eigvals_only=True)
-        assert abs(lam_out[0] - ritz[0]) <= 1e-11 * abs(ritz[0])
+        """At every level and in both modes, from the coarse start: the Ritz
+        values of the fine pencil on P [coarse basis, multigrid solutions],
+        P the dense prolongation, and level-k vectors that prolong to the
+        fine ones."""
+        for mode in ("exact", "localized"):
+            K, M, dec = setup_problem(16, 3, mode=mode)
+            Kd, Md = K.to_dense(), M.to_dense()
+            nev = 2
+            lams, Y_1, Yf = _coarse_start(dec, M, nev)
+            params = McParams()
+            for k in range(2, dec.q + 1):
+                P = dec.prolong(k, np.eye(dec.level_dim(k)))
+                Y = dec.coarse_basis(k) @ Y_1
+                lam_out, X, Xf, res = correct_block(k, lams, Y, Yf, dec, M,
+                                                    params)
+                v_hat = np.column_stack([
+                    mg(k, Y[:, j], lams[j] * (P.T @ (Md @ Yf[:, j])), dec,
+                       params.mg) for j in range(nev)])
+                Z = P @ np.column_stack([dec.coarse_basis(k), v_hat])
+                G_a = Z.T @ Kd @ Z
+                G_m = Z.T @ Md @ Z
+                ritz = scipy.linalg.eigh(0.5 * (G_a + G_a.T),
+                                         0.5 * (G_m + G_m.T),
+                                         eigvals_only=True)[:nev]
+                assert np.all(np.abs(lam_out - ritz) <= 1e-11 * ritz), (mode, k)
+                assert np.abs(P @ X - Xf).max() <= 1e-11 * np.abs(Xf).max(), \
+                    (mode, k)
+                KXf = Kd @ Xf
+                res_ref = (np.linalg.norm(P.T @ (KXf - Md @ Xf * lam_out), axis=0)
+                           / np.linalg.norm(P.T @ KXf, axis=0))
+                np.testing.assert_allclose(res, res_ref, rtol=1e-10)
+
+    def test_reordered_pairs_keep_both_coordinates(self, monkeypatch):
+        """A cluster reordering moves a pair's level-k and fine vectors
+        together (forced here: coarse-level Ritz values of these problems
+        are never close enough to be matched)."""
+        K, M, dec = setup_problem(16, 3, mode="localized")
+        lams, Y_1, Yf = _coarse_start(dec, M, 3)
+        monkeypatch.setattr("geig.correction._match_clusters",
+                            lambda lams, X, Y_old, M_sp: [2, 0, 1])
+        k = 2
+        lam_out, X, Xf, _ = correct_block(k, lams, dec.coarse_basis(k) @ Y_1,
+                                          Yf, dec, M, McParams())
+        assert lam_out[1] < lam_out[2] < lam_out[0]
+        assert np.abs(dec.prolong(k, X) - Xf).max() <= 1e-11 * np.abs(Xf).max()
 
     def test_error_contraction(self):
         K, M, dec = setup_problem(16, 3)
-        mass = dec.mass_levels(M)
         k = dec.q
         res = dense_sym_geig(K.to_dense(), M.to_dense())
         lam_star, v_star = res.lambdas[0], res.vectors_energy[:, 0]
@@ -138,8 +191,8 @@ class TestOneCorrection:
         if y @ M.to_scipy() @ v_star < 0:
             v_star = -v_star
         err_in = energy_norm(K, y - v_star)
-        _, Y_out, _ = correct_block(k, es.lambdas, es.vectors, dec, mass,
-                                    McParams())
+        _, Y_out, _, _ = correct_block(k, es.lambdas, es.vectors, es.vectors,
+                                       dec, M, McParams())
         y_out = Y_out[:, 0]
         if y_out @ M.to_scipy() @ v_star < 0:
             y_out = -y_out
@@ -201,9 +254,9 @@ class TestMultilevelCorrection:
         K, M, dec = setup_problem(16, 3)
         sweeps = []
 
-        def recording_correct_block(k, lams, Y, dec, mass, params):
-            out = correct_block(k, lams, Y, dec, mass, params)
-            sweeps.append((Y, out[0], out[1], mass[k].to_scipy()))
+        def recording_correct_block(k, lams, Y, Yf, dec, M, params):
+            out = correct_block(k, lams, Y, Yf, dec, M, params)
+            sweeps.append((Yf, out[0], out[2], M.to_scipy()))
             return out
 
         monkeypatch.setattr("geig.correction.correct_block",
@@ -215,11 +268,11 @@ class TestMultilevelCorrection:
             assert lam >= expected[pair] * (1.0 - 1e-12)
         np.testing.assert_allclose(es.lambdas, expected, rtol=1e-10)
         clustered = 0
-        for Y, lams, X, M_sp in sweeps:
+        for Yf, lams, Xf, M_sp in sweeps:
             if abs(lams[2] - lams[1]) >= _CLUSTER_RTOL * lams[2]:
                 continue
             clustered += 1
-            overlap = np.abs(Y.T @ (M_sp @ X))
+            overlap = np.abs(Yf.T @ (M_sp @ Xf))
             np.testing.assert_array_equal(np.argmax(overlap, axis=1), np.arange(4))
         assert clustered >= 3
 
@@ -336,18 +389,24 @@ class TestHelpers:
         M = SparseOperator.identity(6).to_scipy()
         V = rng.standard_normal((6, 3))
         V = np.column_stack([V, V[:, 0] + V[:, 1]])
-        Z = m_orthonormalize(V, M)
+        Z, T = m_orthonormalize(V, M)
         assert Z.shape[1] == 3
         np.testing.assert_allclose(Z.T @ Z, np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(V @ T, Z, atol=1e-12)
 
     def test_rayleigh_ritz_against_closed_form_tridiagonal(self):
         n = 9
         T = np.diag(2.0 * np.ones(n)) + np.diag(-np.ones(n - 1), 1) + np.diag(-np.ones(n - 1), -1)
-        lams, vecs = rayleigh_ritz(T, np.eye(n), np.eye(n))
+        lams, vecs, _ = rayleigh_ritz(T, np.eye(n), np.eye(n))
         np.testing.assert_allclose(lams, tridiag_laplacian_spectrum(n), rtol=1e-13)
         np.testing.assert_allclose(vecs @ np.diag(lams) @ vecs.T, T, atol=1e-12)
         lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(n)]
         assert np.all(lead > 0)
+        # the coefficients carry the Ritz vectors to another basis's columns
+        V = np.random.default_rng(5).standard_normal((n, n))
+        lams_v, vecs_v, C = rayleigh_ritz(T, np.eye(n), V)
+        np.testing.assert_allclose(lams_v, lams, rtol=1e-13)
+        np.testing.assert_allclose(V @ C, vecs_v, atol=1e-12)
 
     def test_eigenset_from_vectors(self):
         K = SparseOperator.from_diagonal([2.0, 6.0])

@@ -281,17 +281,20 @@ class TestLevelTruncation:
                                           full.to_dense())
 
     @pytest.mark.parametrize("mode", ["exact", "localized"])
-    def test_galerkin_stiffness_restricts_the_fine_matrix(self, mode):
+    def test_restrict_is_the_adjoint_of_prolong(self, mode):
         K, _, hier = checker_problem(16, 3, seed=2)
         dec = transform(K, hier, mode=mode, radius=1)
         for k in range(1, dec.q + 1):
-            eye = np.eye(dec.level_dim(k))
-            P = dec.prolong(k, eye)
+            P = dec.prolong(k, np.eye(dec.level_dim(k)))
+            Pt = dec.restrict(k, np.eye(K.nrows))
+            assert np.abs(Pt - P.T).max() <= 1e-12 * np.abs(P).max()
             ref = P.T @ K.to_dense() @ P
-            got = dec.galerkin_stiffness(k) @ eye
+            got = dec.restrict(k, K.to_scipy() @ P)
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
             if mode == "exact" or k == dec.q:
-                assert dec.galerkin_stiffness(k) is dec.A[k].to_scipy()
+                # the Galerkin levels are the fine matrix restricted
+                assert np.abs(dec.A[k].to_dense() - ref).max() \
+                    <= 1e-12 * np.abs(ref).max()
 
     def test_indefinite_truncation_refused_naming_the_level(self):
         # rows 2 and 3 couple through row 1 alone once their small entry
