@@ -13,6 +13,11 @@ prolonged to fine coefficients.  No level mass matrix is built, and the
 truncated coarse stiffness matrices of a localized decomposition serve the
 multigrid solves only, so every recorded Ritz value bounds its fine
 eigenvalue from above.
+
+The coarsest space is projected once per run: its M-orthonormal Ritz block
+Q, with Q^T K Q = diag(theta), and the products K Q and M Q are kept.  Each
+sweep M-orthogonalizes only its nev new columns against Q, so its dense work
+grows with nev times the coarse dimension, not with its square.
 """
 
 from __future__ import annotations
@@ -170,21 +175,74 @@ def m_orthonormalize(V, M_sp):
     return Z, T
 
 
-def rayleigh_ritz(A_sp, M_sp, V):
-    """Rayleigh-Ritz for the pencil (A, M) on span(V).
+@dataclass(frozen=True)
+class RitzBlock:
+    """A fixed M-orthonormal Ritz block Q = P Y0 of the pencil (K, M), with
+    Q^T K Q = diag(theta), and the products K Q and M Q; ``coeffs`` is Y0,
+    the coefficients of Q in the columns of P."""
 
-    Returns every Ritz value in ascending order, the matching M-orthonormal
-    Ritz vectors X, and their coefficients C in the columns of V
-    (X = V C up to roundoff), which carry the Ritz vectors to any other
-    coordinates of the same basis.  Each eigenvector of the projected
-    pencil has its largest-magnitude component made positive, so the output
-    is deterministic.
-    """
-    Z, T = m_orthonormalize(V, M_sp)
-    lams, C = scipy.linalg.eigh(Z.T @ (A_sp @ Z))
+    Q: np.ndarray
+    coeffs: np.ndarray
+    theta: np.ndarray
+    KQ: np.ndarray
+    MQ: np.ndarray
+
+
+def _lead_positive(C):
     lead = C[np.argmax(np.abs(C), axis=0), np.arange(C.shape[1])]
-    C = C * np.sign(lead)
-    return lams, Z @ C, T @ C
+    return C * np.sign(lead)
+
+
+def rayleigh_ritz(A_sp, M_sp, V, fixed=None):
+    """Rayleigh-Ritz for the pencil (A, M) on span(V), or on
+    span(fixed.Q) + span(V) when a :class:`RitzBlock` ``fixed`` is given.
+
+    Without ``fixed``: every Ritz value in ascending order, the matching
+    M-orthonormal Ritz vectors X, and their coefficients C in the columns of
+    V (X = V C up to roundoff), which carry the Ritz vectors to any other
+    coordinates of the same basis.
+
+    With ``fixed`` (Q = P Y0): only the columns of V are worked on.  They
+    are M-orthogonalized against Q twice (CGS2, through the kept M Q); a
+    column whose M-norm falls to ``_BASIS_DROP_TOL`` of its norm before
+    projection lies in span(Q) and is dropped, and the rest are SVQB'd.  The
+    projected matrix is [[diag(theta), Q^T A Z], [Z^T A Q, Z^T A Z]], and
+    only its lowest V.shape[1] pairs are extracted and formed, with C the
+    coefficients in the columns of [P, V].  Raises DegenerateBasisError when
+    the basis has fewer columns than pairs asked for.
+
+    Each eigenvector of the projected pencil has its largest-magnitude
+    component made positive, so the output is deterministic.
+    """
+    if fixed is None:
+        Z, T = m_orthonormalize(V, M_sp)
+        lams, C = scipy.linalg.eigh(Z.T @ (A_sp @ Z))
+        C = _lead_positive(C)
+        return lams, Z @ C, T @ C
+    nev = V.shape[1]
+    norms = np.sqrt(np.einsum("ij,ij->j", V, M_sp @ V))
+    G = fixed.MQ.T @ V
+    W = V - fixed.Q @ G
+    G2 = fixed.MQ.T @ W
+    W -= fixed.Q @ G2
+    G += G2
+    kept = (np.sqrt(np.abs(np.einsum("ij,ij->j", W, M_sp @ W)))
+            > _BASIS_DROP_TOL * norms)
+    if kept.any():
+        Z, T = m_orthonormalize(W[:, kept], M_sp)
+    else:
+        Z, T = W[:, :0], np.zeros((0, 0))
+    m = len(fixed.theta)
+    if m + Z.shape[1] < nev:
+        raise DegenerateBasisError("trial basis lost rank")
+    QKZ = fixed.KQ.T @ Z
+    H = np.block([[np.diag(fixed.theta), QKZ], [QKZ.T, Z.T @ (A_sp @ Z)]])
+    lams, C = scipy.linalg.eigh(H, subset_by_index=[0, nev - 1])
+    C = _lead_positive(C)
+    b = np.zeros((nev, nev))
+    b[kept] = T @ C[m:]
+    a = fixed.coeffs @ (C[:m] - G @ b)
+    return lams, fixed.Q @ C[:m] + Z @ C[m:], np.vstack([a, b])
 
 
 def _match_clusters(lams, X, Y_old, M_sp):
@@ -220,16 +278,19 @@ def _solve_level(k, rhs, guess, dec, params):
     return mg(k, guess, rhs, dec, params.mg)
 
 
-def correct_block(k, lams, Y, Yf, dec, M, params):
+def correct_block(k, lams, Y, Yf, dec, M, params, block):
     """One joint correction sweep for a block of pairs at level k.
 
     The block comes in two coordinates: ``Y`` in level-k coefficients, the
     multigrid guess, and ``Yf = dec.prolong(k, Y)`` in fine ones.  Each pair
     gets a multigrid-approximated solve of A_k v = lambda M_k y, whose
     right-hand side is the fine product M Yf restricted to level k.  One
-    Rayleigh-Ritz with the fine pencil (K, M) on the coarsest basis plus all
+    Rayleigh-Ritz with the fine pencil (K, M) on the coarsest space plus all
     prolonged solutions then re-extracts the lowest pairs, and its
-    coefficients give them in both coordinates.
+    coefficients give them in both coordinates.  The coarsest space enters
+    as ``block``, its Ritz block from :func:`_coarse_start`, so only the nev
+    prolonged solutions are orthogonalized here.  Raises
+    DegenerateBasisError when fewer than nev basis directions survive.
 
     Returns (lambdas, X, Xf, residuals): X in level-k coefficients, Xf =
     prolong(k, X), energy-normalized, with the sign of Yf, and the level-k
@@ -243,9 +304,9 @@ def correct_block(k, lams, Y, Yf, dec, M, params):
     v_hat = np.empty_like(Y)
     for j in range(nev):
         v_hat[:, j] = _solve_level(k, rhs[:, j], Y[:, j], dec, params)
-    basis = np.column_stack([dec.coarse_basis(dec.q), dec.prolong(k, v_hat)])
-    ritz, Xf, C = rayleigh_ritz(K_sp, M_sp, basis)
-    order = _match_clusters(ritz[:nev], Xf[:, :nev], Yf, M_sp)
+    ritz, Xf, C = rayleigh_ritz(K_sp, M_sp, dec.prolong(k, v_hat),
+                                fixed=block)
+    order = _match_clusters(ritz, Xf, Yf, M_sp)
     new_lams, Xf, C = ritz[order], Xf[:, order], C[:, order]
     KXf = K_sp @ Xf
     MXf = M_sp @ Xf
@@ -260,24 +321,31 @@ def correct_block(k, lams, Y, Yf, dec, M, params):
 
 
 def _coarse_start(dec, M, nev):
-    """The nev lowest pairs of the fine pencil on the coarsest space, by one
-    dense solve of (P^T K P, P^T M P) with P = ``dec.coarse_basis(q)``;
-    vectors energy-normalized, in level-1 and in fine coefficients."""
+    """The fine pencil on the coarsest space, by one dense solve of
+    (P^T K P, P^T M P) with P = ``dec.coarse_basis(q)``.
+
+    Returns (lambdas, Y, Yf, block): the nev lowest pairs, vectors
+    energy-normalized, in level-1 and in fine coefficients, and the
+    :class:`RitzBlock` of all the pairs, which every sweep reuses."""
     n1 = dec.level_dim(1)
     if not 1 <= nev <= n1:
         raise InvalidArgumentError(
             f"nev={nev} exceeds the coarsest space dimension {n1}")
     P = dec.coarse_basis(dec.q)
-    res = dense_sym_geig(P.T @ (dec.A[dec.q].to_scipy() @ P),
-                         P.T @ (M.to_scipy() @ P))
+    KP = dec.A[dec.q].to_scipy() @ P
+    MP = M.to_scipy() @ P
+    res = dense_sym_geig(P.T @ KP, P.T @ MP)
+    Y0 = res.vectors
+    block = RitzBlock(Q=P @ Y0, coeffs=Y0, theta=res.lambdas,
+                      KQ=KP @ Y0, MQ=MP @ Y0)
     Y = res.vectors_energy[:, :nev].copy()
-    return res.lambdas[:nev].copy(), Y, P @ Y
+    return res.lambdas[:nev].copy(), Y, P @ Y, block
 
 
 def coarse_eigensolve(dec, M, nev):
     """All-pairs dense solve of the coarsest-level restriction, prolonged to
     fine coefficients."""
-    lams, _, Yf = _coarse_start(dec, M, nev)
+    lams, _, Yf, _ = _coarse_start(dec, M, nev)
     return EigenSet.from_vectors(dec.A[dec.q], M, lams, Yf)
 
 
@@ -291,7 +359,7 @@ def multilevel_correction(dec, M, nev, params=None):
     """
     if params is None:
         params = McParams()
-    lams, Y, Yf = _coarse_start(dec, M, nev)
+    lams, Y, Yf, block = _coarse_start(dec, M, nev)
     record = ConvergenceRecord()
     sweep = 0
     for j in range(nev):
@@ -300,7 +368,8 @@ def multilevel_correction(dec, M, nev, params=None):
     def run_sweep(k):
         nonlocal lams, Y, Yf, sweep
         old = lams.copy()
-        lams, Y, Yf, res_k = correct_block(k, lams, Y, Yf, dec, M, params)
+        lams, Y, Yf, res_k = correct_block(k, lams, Y, Yf, dec, M,
+                                          params, block)
         sweep += 1
         rel = np.abs(lams - old) / np.abs(lams)
         for j in range(nev):

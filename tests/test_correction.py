@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from geig.correction import (
     _CLUSTER_RTOL,
     _coarse_start,
+    _solve_level,
     EigenSet,
     McParams,
     coarse_eigensolve,
@@ -18,8 +19,13 @@ from geig.correction import (
     multilevel_correction,
     rayleigh_quotient_expansion_check,
     rayleigh_ritz,
+    RitzBlock,
 )
-from geig.errors import InvalidArgumentError, NonConvergenceError
+from geig.errors import (
+    DegenerateBasisError,
+    InvalidArgumentError,
+    NonConvergenceError,
+)
 from geig.fem import CoefficientField, Grid, assemble, gen_checkerboard
 from geig.hierarchy import build_hierarchy
 from geig.multigrid import energy_norm, mg
@@ -128,8 +134,10 @@ class TestOneCorrection:
         res = dense_sym_geig(dec.A[k].to_dense(), P.T @ M.to_dense() @ P)
         lam, y = res.lambdas[0], res.vectors_energy[:, 0]
         params = McParams(exact_inner=True)
+        *_, block = _coarse_start(dec, M, 1)
         lam_out, y_out, yf_out, _ = correct_block(
-            k, res.lambdas[:1], y[:, None], P @ y[:, None], dec, M, params)
+            k, res.lambdas[:1], y[:, None], P @ y[:, None], dec, M, params,
+            block)
         assert abs(lam_out[0] - lam) <= 1e-10 * lam
         assert np.linalg.norm(y_out[:, 0] - y) <= 1e-8
         assert np.linalg.norm(yf_out[:, 0] - P @ y) <= 1e-8
@@ -143,13 +151,13 @@ class TestOneCorrection:
             K, M, dec = setup_problem(16, 3, mode=mode)
             Kd, Md = K.to_dense(), M.to_dense()
             nev = 2
-            lams, Y_1, Yf = _coarse_start(dec, M, nev)
+            lams, Y_1, Yf, block = _coarse_start(dec, M, nev)
             params = McParams()
             for k in range(2, dec.q + 1):
                 P = dec.prolong(k, np.eye(dec.level_dim(k)))
                 Y = dec.coarse_basis(k) @ Y_1
                 lam_out, X, Xf, res = correct_block(k, lams, Y, Yf, dec, M,
-                                                    params)
+                                                    params, block)
                 v_hat = np.column_stack([
                     mg(k, Y[:, j], lams[j] * (P.T @ (Md @ Yf[:, j])), dec,
                        params.mg) for j in range(nev)])
@@ -172,12 +180,12 @@ class TestOneCorrection:
         together (forced here: coarse-level Ritz values of these problems
         are never close enough to be matched)."""
         K, M, dec = setup_problem(16, 3, mode="localized")
-        lams, Y_1, Yf = _coarse_start(dec, M, 3)
+        lams, Y_1, Yf, block = _coarse_start(dec, M, 3)
         monkeypatch.setattr("geig.correction._match_clusters",
                             lambda lams, X, Y_old, M_sp: [2, 0, 1])
         k = 2
         lam_out, X, Xf, _ = correct_block(k, lams, dec.coarse_basis(k) @ Y_1,
-                                          Yf, dec, M, McParams())
+                                          Yf, dec, M, McParams(), block)
         assert lam_out[1] < lam_out[2] < lam_out[0]
         assert np.abs(dec.prolong(k, X) - Xf).max() <= 1e-11 * np.abs(Xf).max()
 
@@ -187,18 +195,144 @@ class TestOneCorrection:
         res = dense_sym_geig(K.to_dense(), M.to_dense())
         lam_star, v_star = res.lambdas[0], res.vectors_energy[:, 0]
         es = coarse_eigensolve(dec, M, 1)
+        *_, block = _coarse_start(dec, M, 1)
         y = es.vectors[:, 0]
         if y @ M.to_scipy() @ v_star < 0:
             v_star = -v_star
         err_in = energy_norm(K, y - v_star)
         _, Y_out, _, _ = correct_block(k, es.lambdas, es.vectors, es.vectors,
-                                       dec, M, McParams())
+                                       dec, M, McParams(), block)
         y_out = Y_out[:, 0]
         if y_out @ M.to_scipy() @ v_star < 0:
             y_out = -y_out
         err_out = energy_norm(K, y_out - v_star)
         gamma = err_out / err_in
         assert gamma < 0.6  # measured ~0.1-0.4 on this problem; frozen bound
+
+
+def record_orthonormalize_widths(monkeypatch):
+    """List that collects the column count of every m_orthonormalize call
+    made from geig.correction."""
+    widths = []
+
+    def recording_m_orthonormalize(V, M_sp):
+        widths.append(V.shape[1])
+        return m_orthonormalize(V, M_sp)
+
+    monkeypatch.setattr("geig.correction.m_orthonormalize",
+                        recording_m_orthonormalize)
+    return widths
+
+
+class TestCoarseRitzBlock:
+    """The coarsest space enters every sweep as one Ritz block, projected
+    once per run; each sweep orthogonalizes only its new columns."""
+
+    def test_one_coarse_solve_and_nev_column_grams(self, monkeypatch):
+        _, M, dec = setup_problem(16, 3, mode="localized")
+        pencils = record_coarse_pencils(monkeypatch)
+        widths = record_orthonormalize_widths(monkeypatch)
+        nev = 3
+        _, rec = multilevel_correction(dec, M, nev, McParams(tol=1e-10))
+        assert len(pencils) == 1
+        assert rec.last_sweep() >= dec.q
+        assert widths == [nev] * rec.last_sweep()
+
+    def test_block_is_m_orthonormal_at_contrast_1e6(self):
+        grid = Grid(32)
+        field = gen_checkerboard(seed=0, eps=1.0 / 16, lo=1e-3, hi=1e3,
+                                 grid=grid)
+        K, M = assemble(grid, field)
+        dec = transform(K, build_hierarchy(4, grid), mode="localized",
+                        radius=1)
+        *_, block = _coarse_start(dec, M, 4)
+        m = dec.level_dim(1)
+        assert block.Q.shape == (K.nrows, m)
+        gram = block.Q.T @ (M.to_scipy() @ block.Q)
+        assert np.abs(gram - np.eye(m)).max() <= 1e-12
+        np.testing.assert_allclose(block.Q,
+                                   dec.coarse_basis(dec.q) @ block.coeffs,
+                                   rtol=0, atol=1e-13 * np.abs(block.Q).max())
+
+    @staticmethod
+    def sweep_with_trial_column(monkeypatch, nev, replace):
+        """One level-2 sweep from the coarse start in which the second
+        multigrid solution v is replaced by replace(v, c), c a level-2
+        vector in the coarsest space.  Returns the decomposition, the
+        solutions used, the widths of the SVQB calls and the sweep's
+        output."""
+        K, M, dec = setup_problem(16, 3, mode="localized")
+        lams, Y_1, Yf, block = _coarse_start(dec, M, nev)
+        k = 2
+        c = dec.coarse_basis(k) @ np.linspace(1.0, 2.0, dec.level_dim(1))
+        solutions = []
+
+        def solve(k, rhs, guess, dec, params):
+            v = _solve_level(k, rhs, guess, dec, params)
+            if len(solutions) == 1:
+                v = replace(v, c)
+            solutions.append(v)
+            return v
+
+        monkeypatch.setattr("geig.correction._solve_level", solve)
+        widths = record_orthonormalize_widths(monkeypatch)
+        out = correct_block(k, lams, dec.coarse_basis(k) @ Y_1, Yf, dec, M,
+                            McParams(), block)
+        return K, M, dec, solutions, widths, out
+
+    def test_dependent_trial_column_is_dropped(self, monkeypatch):
+        """A multigrid solution that prolongs into the coarsest space adds
+        no direction: it is dropped before SVQB, and the Ritz values are
+        those of the fine pencil on span(P [coarse basis, v_hat])."""
+        nev = 3
+        K, M, dec, solutions, widths, out = self.sweep_with_trial_column(
+            monkeypatch, nev, lambda v, c: c)
+        lam_out, X, Xf, _ = out
+        Kd, Md = K.to_dense(), M.to_dense()
+        assert widths == [nev - 1]
+        k = 2
+        P = dec.prolong(k, np.eye(dec.level_dim(k)))
+        U = scipy.linalg.orth(
+            P @ np.column_stack([dec.coarse_basis(k)] + solutions))
+        assert U.shape[1] == dec.level_dim(1) + nev - 1
+        ritz = scipy.linalg.eigh(U.T @ Kd @ U, U.T @ Md @ U,
+                                 eigvals_only=True)[:nev]
+        assert np.all(np.abs(lam_out - ritz) <= 1e-11 * ritz)
+        # energy-normalized Ritz vectors: Xf^T M Xf = diag(1 / lambda)
+        gram = (Xf.T @ Md @ Xf) * np.sqrt(np.outer(lam_out, lam_out))
+        assert np.abs(gram - np.eye(nev)).max() <= 1e-10
+        assert np.abs(P @ X - Xf).max() <= 1e-11 * np.abs(Xf).max()
+
+    def test_nearly_dependent_trial_column_stays_m_orthogonal(self,
+                                                              monkeypatch):
+        """A solution 1e-6 away from the coarsest space is kept, and the
+        second projection pass keeps the Ritz vectors M-orthogonal (one
+        pass leaves about 3e-9 here)."""
+        nev = 3
+        _, M, _, _, widths, out = self.sweep_with_trial_column(
+            monkeypatch, nev, lambda v, c: c + 1e-6 * v)
+        lam_out, _, Xf, _ = out
+        assert widths == [nev]
+        gram = (Xf.T @ (M.to_scipy() @ Xf)) * np.sqrt(np.outer(lam_out,
+                                                              lam_out))
+        assert np.abs(gram - np.eye(nev)).max() <= 1e-12
+
+    def test_too_few_basis_columns_raise(self, monkeypatch):
+        """A block of one Ritz pair and trial columns inside its span leave
+        one basis direction for two pairs."""
+        _, M, dec = setup_problem(16, 3)
+        lams, Y_1, Yf, block = _coarse_start(dec, M, 2)
+        short = RitzBlock(Q=block.Q[:, :1], coeffs=block.coeffs[:, :1],
+                          theta=block.theta[:1], KQ=block.KQ[:, :1],
+                          MQ=block.MQ[:, :1])
+        k = 2
+        monkeypatch.setattr(
+            "geig.correction._solve_level",
+            lambda k, rhs, guess, dec, params:
+                dec.coarse_basis(k) @ short.coeffs[:, 0])
+        with pytest.raises(DegenerateBasisError):
+            correct_block(k, lams, dec.coarse_basis(k) @ Y_1, Yf, dec, M,
+                          McParams(), short)
 
 
 class TestMultilevelCorrection:
@@ -254,8 +388,8 @@ class TestMultilevelCorrection:
         K, M, dec = setup_problem(16, 3)
         sweeps = []
 
-        def recording_correct_block(k, lams, Y, Yf, dec, M, params):
-            out = correct_block(k, lams, Y, Yf, dec, M, params)
+        def recording_correct_block(k, lams, Y, Yf, dec, M, params, block):
+            out = correct_block(k, lams, Y, Yf, dec, M, params, block)
             sweeps.append((Yf, out[0], out[2], M.to_scipy()))
             return out
 
