@@ -21,7 +21,6 @@ from .errors import (
     LoadError,
     NonConvergenceError,
     NotPositiveDefiniteError,
-    UnsupportedOperationError,
 )
 from .fem import CoefficientField, Grid, assemble, gen_anderson, gen_checkerboard
 from .hierarchy import Hierarchy, build_hierarchy
@@ -44,7 +43,6 @@ __all__ = [
     "NotPositiveDefiniteError",
     "NonConvergenceError",
     "DegenerateBasisError",
-    "UnsupportedOperationError",
     "LoadError",
     "SparseOperator",
     "spmv",

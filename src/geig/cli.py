@@ -21,7 +21,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, fields
 
 import numpy as np
 import scipy
@@ -40,7 +40,7 @@ from .fem import (
     load_coefficient_file,
     nearest_dyadic_eps,
 )
-from .hierarchy import build_hierarchy, cell_depths
+from .hierarchy import build_hierarchy, level_dim
 from .lobpcg import (
     GambletPreconditioner,
     IdentityPreconditioner,
@@ -54,6 +54,13 @@ from .transform import decay_profile, load_decomposition, save_decomposition, tr
 
 _SOLVERS = ("mc", "lobpcg", "hybrid")
 _PRECONDITIONERS = ("gamblet", "jacobi", "identity")
+# Numeric fields of each problem kind, with their defaults.
+_PROBLEM_NUMBERS = {
+    "constant": {"value": 1.0},
+    "checkerboard": {"seed": 0, "eps": 1.0 / 64, "lo": 1.0 / 20, "hi": 20.0},
+    "anderson": {"seed": 0, "eps": 0.01, "alpha": 1.0, "beta": 1e4},
+    "coefficient_file": {},
+}
 
 
 @dataclass
@@ -74,10 +81,41 @@ class ExperimentConfig:
     resolved: dict = dataclass_field(default_factory=dict, repr=False)
 
 
-def _coarsest_dim(grid_n, levels):
-    if levels == 1:
-        return (grid_n - 1) ** 2
-    return 4 ** cell_depths(levels, grid_n)[0]
+def _scalar(raw, name, default, errors):
+    """The entry of ``raw`` named by the last part of ``name``, or ``default``,
+    if it has the JSON type of ``default``: bool, integer (an integral float
+    passes) or number.  Else it adds an error and gives ``default``."""
+    value = raw.get(name.rpartition(".")[2], default)
+    want = type(default)
+    if want is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not want and not (want is float and type(value) is int):
+        kind = {bool: "true or false", int: "an integer", float: "a number"}
+        errors.append(f"{name}: must be {kind[want]}, got {value!r}")
+        return default
+    return want(value)
+
+
+def _section(data, name, errors):
+    raw = data.get(name, {})
+    if isinstance(raw, dict):
+        return dict(raw)
+    errors.append(f"{name}: must be an object, got {raw!r}")
+    return {}
+
+
+def _params(cls, name, raw, errors, **fixed):
+    """``cls(**fixed, **raw)`` with the bool, int and float fields of
+    ``cls`` checked first; the defaults, and an error, when construction
+    fails."""
+    for f in fields(cls):
+        if f.name in raw and type(f.default) in (bool, int, float):
+            raw[f.name] = _scalar(raw, f"{name}.{f.name}", f.default, errors)
+    try:
+        return cls(**fixed, **raw)
+    except (GeigError, TypeError) as exc:
+        errors.append(f"{name}: {exc}")
+        return cls(**fixed)
 
 
 def _normalize_problem(raw, grid_n, errors):
@@ -90,33 +128,26 @@ def _normalize_problem(raw, grid_n, errors):
         errors.append("problem: must be a name or an object with 'kind'")
         return None
     kind = raw["kind"]
+    if not isinstance(kind, str) or kind not in _PROBLEM_NUMBERS:
+        errors.append(f"problem.kind: unknown kind {kind!r}")
+        return None
     out = {"kind": kind}
-    if kind == "constant":
-        out["value"] = float(raw.get("value", 1.0))
-        if out["value"] <= 0:
-            errors.append("problem.value: must be positive")
-    elif kind == "checkerboard":
-        out["seed"] = int(raw.get("seed", 0))
-        out["eps"] = float(raw.get("eps", 1.0 / 64))
-        out["lo"] = float(raw.get("lo", 1.0 / 20))
-        out["hi"] = float(raw.get("hi", 20.0))
-        if out["lo"] <= 0 or out["hi"] <= 0:
-            errors.append("problem.lo/hi: must be positive")
+    for key, default in _PROBLEM_NUMBERS[kind].items():
+        out[key] = _scalar(raw, f"problem.{key}", default, errors)
+    if kind == "constant" and out["value"] <= 0:
+        errors.append("problem.value: must be positive")
+    elif kind == "checkerboard" and (out["lo"] <= 0 or out["hi"] <= 0):
+        errors.append("problem.lo/hi: must be positive")
     elif kind == "coefficient_file":
         if "path" not in raw:
             errors.append("problem.path: required for coefficient_file")
         else:
             out["path"] = str(raw["path"])
     elif kind == "anderson":
-        out["seed"] = int(raw.get("seed", 0))
-        out["eps"] = nearest_dyadic_eps(float(raw.get("eps", 0.01)))
-        out["alpha"] = float(raw.get("alpha", 1.0))
-        out["beta"] = float(raw.get("beta", 1e4))
         if out["alpha"] < 0 or out["beta"] < 0:
             errors.append("problem.alpha/beta: must be nonnegative")
-    else:
-        errors.append(f"problem.kind: unknown kind {kind!r}")
-        return None
+        if out["eps"] > 0:  # else the tiling check below reports it
+            out["eps"] = nearest_dyadic_eps(out["eps"])
     if kind in ("checkerboard", "anderson") and grid_n >= 2:
         try:
             _block_layout(out["eps"], Grid(grid_n))
@@ -131,14 +162,17 @@ def _normalize_transform(raw, grid_n, errors):
         raw = {"mode": mode}
     if isinstance(raw, str):
         raw = {"mode": raw}
+    if not isinstance(raw, dict):
+        errors.append(f"transform: must be a mode name or an object, got {raw!r}")
+        return None
     mode = raw.get("mode")
     if mode not in ("exact", "localized"):
         errors.append(f"transform.mode: must be 'exact' or 'localized', got {mode!r}")
         return None
-    out = {"mode": mode, "track_vectors": bool(raw.get("track_vectors", False))}
+    out = {"mode": mode}
     if mode == "localized":
-        out["radius"] = int(raw.get("radius", 3))
-        out["droptol"] = float(raw.get("droptol", 1e-9))
+        out["radius"] = _scalar(raw, "transform.radius", 3, errors)
+        out["droptol"] = _scalar(raw, "transform.droptol", 1e-9, errors)
         if out["radius"] < 1:
             errors.append("transform.radius: must be >= 1")
         if out["droptol"] <= 0:
@@ -159,25 +193,30 @@ def validate_config(source):
         except json.JSONDecodeError as exc:
             return None, [f"config is not valid JSON: {exc}"]
     else:
-        data = dict(source)
+        data = source
+    if not isinstance(data, dict):
+        return None, [f"config: must be a JSON object, got {type(data).__name__}"]
 
-    grid_n = int(data.get("grid_n", 0))
-    levels = int(data.get("levels", 0))
-    nev = int(data.get("nev", 0))
-    if grid_n < 2:
-        errors.append(f"grid_n: must be >= 2, got {grid_n}")
-    if levels < 1:
-        errors.append(f"levels: must be >= 1, got {levels}")
-    if grid_n >= 2 and levels >= 1 and grid_n % (2 ** levels) != 0:
-        errors.append(f"grid_n: {grid_n} not divisible by 2^levels={2 ** levels}")
-    if nev < 1:
-        errors.append(f"nev: must be >= 1, got {nev}")
-    elif grid_n >= 2 and levels >= 1 and grid_n % (2 ** levels) == 0:
-        cdim = _coarsest_dim(grid_n, levels)
-        if nev > cdim:
+    grid_n = _scalar(data, "grid_n", 0, errors)
+    levels = _scalar(data, "levels", 0, errors)
+    nev = _scalar(data, "nev", 0, errors)
+    if not errors:  # else the range checks would only repeat them
+        if grid_n < 2:
+            errors.append(f"grid_n: must be >= 2, got {grid_n}")
+        if levels < 1:
+            errors.append(f"levels: must be >= 1, got {levels}")
+        tiled = grid_n >= 2 and levels >= 1 and grid_n % (2 ** levels) == 0
+        if grid_n >= 2 and levels >= 1 and not tiled:
             errors.append(
-                f"nev: {nev} exceeds the coarsest space dimension {cdim}; "
-                "reduce levels or nev")
+                f"grid_n: {grid_n} not divisible by 2^levels={2 ** levels}")
+        if nev < 1:
+            errors.append(f"nev: must be >= 1, got {nev}")
+        elif tiled:
+            cdim = level_dim(1, levels, grid_n)
+            if nev > cdim:
+                errors.append(
+                    f"nev: {nev} exceeds the coarsest space dimension {cdim}; "
+                    "reduce levels or nev")
 
     solver = data.get("solver", "mc")
     if solver not in _SOLVERS:
@@ -189,29 +228,17 @@ def validate_config(source):
     problem = _normalize_problem(data.get("problem"), grid_n, errors)
     transform_opts = _normalize_transform(data.get("transform"), grid_n, errors)
 
-    mg_raw = dict(data.get("mg", {}))
-    mc_raw = dict(data.get("mc", {}))
-    lob_raw = dict(data.get("lobpcg", {}))
+    mg_params = _params(MgParams, "mg", _section(data, "mg", errors), errors)
+    mc_params = _params(McParams, "mc", _section(data, "mc", errors), errors,
+                        mg=mg_params)
+    lob_raw = _section(data, "lobpcg", errors)
     prec = lob_raw.pop("preconditioner", "gamblet")
-    lob_seed = int(lob_raw.pop("seed", 0))
     if prec not in _PRECONDITIONERS:
         errors.append(
             f"lobpcg.preconditioner: must be one of {_PRECONDITIONERS}, got {prec!r}")
-    try:
-        mg_params = MgParams(**mg_raw)
-    except (GeigError, TypeError) as exc:
-        errors.append(f"mg: {exc}")
-        mg_params = MgParams()
-    try:
-        mc_params = McParams(mg=mg_params, **mc_raw)
-    except (GeigError, TypeError) as exc:
-        errors.append(f"mc: {exc}")
-        mc_params = McParams(mg=mg_params)
-    try:
-        lob_params = LobpcgParams(**lob_raw)
-    except (GeigError, TypeError) as exc:
-        errors.append(f"lobpcg: {exc}")
-        lob_params = LobpcgParams()
+    lob_seed = _scalar(lob_raw, "lobpcg.seed", 0, errors)
+    lob_raw.pop("seed", None)
+    lob_params = _params(LobpcgParams, "lobpcg", lob_raw, errors)
 
     output_dir = str(data.get("output_dir", "geig_out"))
     if errors:
@@ -260,15 +287,8 @@ def build_field(config, grid):
 
 def build_decomposition(config, K):
     hier = build_hierarchy(config.levels, Grid(config.grid_n))
-    opts = config.transform_opts
     variant = "geometric" if config.baseline == "geometric" else "adapted"
-    track = opts.get("track_vectors", False)
-    if opts["mode"] == "exact":
-        return transform(K, hier, mode="exact", variant=variant,
-                         track_vectors=track)
-    return transform(K, hier, mode="localized", radius=opts["radius"],
-                     droptol=opts["droptol"], variant=variant,
-                     track_vectors=track)
+    return transform(K, hier, variant=variant, **config.transform_opts)
 
 
 def _atomic_write(path, text):
@@ -359,10 +379,7 @@ def _cmd_run(args):
         return 1
     try:
         return run_experiment(config)
-    except GeigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (GeigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -407,12 +424,11 @@ def _cmd_diag(args):
         return 1
     cond_b = wavelet_condition_numbers(dec) if dec.q > 1 else {}
     report = {"cond_B": {str(k): cond_b[k] for k in sorted(cond_b)}}
-    if dec.tracked and dec.q >= 2:
-        k = min(2, dec.q)
-        centers = dec.hierarchy.level_centers(k)
+    if dec.q >= 2:
+        centers = dec.hierarchy.level_centers(2)
         i = int(np.argmin(np.linalg.norm(centers, axis=1)))
-        prof = decay_profile(dec, k, i)
-        report["decay"] = {"level": k, "index": i,
+        prof = decay_profile(dec, 2, i)
+        report["decay"] = {"level": 2, "index": i,
                            "profile": [[n, t] for n, t in prof]}
         try:
             slope, r2 = decay_fit(prof)

@@ -118,6 +118,14 @@ class ConvergenceRecord:
         self.rows.append((int(sweep), int(level), int(pair), float(lam),
                           float(rel_change), float(residual), phase))
 
+    def tagged(self, phase, offset=0):
+        """A copy with every row tagged ``phase`` and its sweep shifted by
+        ``offset``."""
+        out = ConvergenceRecord()
+        for sweep, level, pair, lam, rel, res, _ in self.rows:
+            out.add(sweep + offset, level, pair, lam, rel, res, phase=phase)
+        return out
+
     def extend(self, other):
         self.rows.extend(other.rows)
         self.has_phase = self.has_phase or other.has_phase
@@ -378,7 +386,7 @@ def multilevel_correction(dec, M, nev, params=None):
 
     max_rel = np.inf
     for k in range(2, dec.q + 1):
-        Y = dec.R[k].to_scipy().T @ Y
+        Y = dec.prolong(k - 1, Y, to=k)
         for _ in range(params.varpi):
             max_rel = run_sweep(k)
     extra = 0

@@ -30,9 +30,5 @@ class DegenerateBasisError(GeigError, RuntimeError):
     """All trial directions collapsed during orthonormalization."""
 
 
-class UnsupportedOperationError(GeigError, RuntimeError):
-    """The operation needs data the object was built without."""
-
-
 class LoadError(GeigError, ValueError):
     """A data file failed to parse; message names the offending location."""

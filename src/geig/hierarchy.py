@@ -65,10 +65,6 @@ class LevelLabels:
         xx, yy = np.meshgrid(ticks, ticks)
         return np.column_stack([xx.ravel(), yy.ravel()])
 
-    @property
-    def cell_side(self):
-        return 2.0 / self.cells_per_side
-
 
 def haar_nesting(depth):
     """Nesting matrix between cell depth ``depth`` and ``depth + 1``.
@@ -194,9 +190,7 @@ class Hierarchy:
         return self.grid.n_unknowns
 
     def level_dim(self, k):
-        if k == self.q:
-            return self.n_fine
-        return self.labels[k - 1].n_cells
+        return level_dim(k, self.q, self.grid.n_cells)
 
     def level_depth(self, k):
         """Dyadic depth of the cell lattice behind level k; the node level
@@ -233,6 +227,16 @@ def cell_depths(q, n_cells):
         v += 1
     dmax = v - 1 if nn == 1 else v
     return list(range(dmax - q + 2, dmax + 1))
+
+
+def level_dim(k, q, n_cells):
+    """Dimension of level k of a q-level hierarchy on a grid with
+    ``n_cells`` cells per side, without building the hierarchy: the
+    interior node count (n_cells - 1)^2 at level q, the cell count of the
+    level's depth below it."""
+    if k == q:
+        return (n_cells - 1) ** 2
+    return 4 ** cell_depths(q, n_cells)[k - 1]
 
 
 def build_hierarchy(q, grid):

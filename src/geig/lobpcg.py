@@ -49,8 +49,6 @@ class LobpcgParams:
 class Preconditioner:
     """SPD action r -> B^{-1} r; subclasses implement ``apply``."""
 
-    symmetric = True
-
     def apply(self, r):
         raise NotImplementedError
 
@@ -89,11 +87,10 @@ class GambletPreconditioner(Preconditioner):
 
 @dataclass
 class LobpcgState:
-    """Iteration snapshot: current block (mass-orthonormal), preconditioned
-    residual block, previous-direction block, Ritz values, residual norms."""
+    """Iteration snapshot: current block (mass-orthonormal), previous-direction
+    block, Ritz values, residual norms."""
 
     X: np.ndarray
-    W: Optional[np.ndarray]
     P: Optional[np.ndarray]
     ritz: np.ndarray
     residual_norms: np.ndarray
@@ -126,8 +123,7 @@ def pinvit_step(x, K, M, B):
     return x_next / np.sqrt(nrm2)
 
 
-def lobpcg(K, M, B, X0, nev, params=None, record=None, phase=None, level=0,
-           on_state=None):
+def lobpcg(K, M, B, X0, nev, params=None, level=0, on_state=None):
     """Locally optimal block preconditioned iteration for the lowest ``nev``
     pairs of K x = lambda M x.
 
@@ -153,8 +149,7 @@ def lobpcg(K, M, B, X0, nev, params=None, record=None, phase=None, level=0,
     if len(ritz) < nev:
         raise InvalidArgumentError("initial block is numerically dependent")
     ritz, X = ritz[:nev], X[:, :nev]
-    if record is None:
-        record = ConvergenceRecord()
+    record = ConvergenceRecord()
     P = None
     prev_ritz = None
     converged = False
@@ -167,10 +162,9 @@ def lobpcg(K, M, B, X0, nev, params=None, record=None, phase=None, level=0,
         rel = np.abs(ritz - prev_ritz) / np.abs(ritz) if prev_ritz is not None \
             else np.full(nev, np.nan)
         for j in range(nev):
-            record.add(iteration, level, j, ritz[j], rel[j], res[j],
-                       phase=phase)
+            record.add(iteration, level, j, ritz[j], rel[j], res[j])
         if on_state is not None:
-            on_state(LobpcgState(X=X, W=None, P=P, ritz=ritz.copy(),
+            on_state(LobpcgState(X=X, P=P, ritz=ritz.copy(),
                                  residual_norms=res, iteration=iteration))
         if np.all(res <= params.tol):
             converged = True
@@ -215,30 +209,17 @@ def hybrid_solve(dec, M, nev, mc_params=None, lobpcg_params=None):
     try:
         es_mc, rec_mc = multilevel_correction(dec, M, nev, mc_params)
     except NonConvergenceError as exc:
-        tagged = ConvergenceRecord()
-        if exc.history is not None:
-            for sweep, level, pair, lam, rel, res, _ in exc.history.rows:
-                tagged.add(sweep, level, pair, lam, rel, res, phase="mc")
-        raise NonConvergenceError(str(exc), history=tagged,
+        raise NonConvergenceError(str(exc), history=exc.history.tagged("mc"),
                                   result=exc.result) from exc
-    combined = ConvergenceRecord()
-    for sweep, level, pair, lam, rel, res, _ in rec_mc.rows:
-        combined.add(sweep, level, pair, lam, rel, res, phase="mc")
+    combined = rec_mc.tagged("mc")
     offset = combined.last_sweep() + 1
     B = GambletPreconditioner(dec, mc_params.mg)
-    lob_rec = ConvergenceRecord()
-
-    def merge():
-        for sweep, level, pair, lam, rel, res, phase in lob_rec.rows:
-            combined.add(sweep + offset, level, pair, lam, rel, res,
-                         phase=phase)
-
     try:
-        es, _ = lobpcg(K, M, B, es_mc.vectors, nev, params=lobpcg_params,
-                       record=lob_rec, phase="lobpcg", level=dec.q)
+        es, rec_lob = lobpcg(K, M, B, es_mc.vectors, nev,
+                             params=lobpcg_params, level=dec.q)
     except NonConvergenceError as exc:
-        merge()
+        combined.extend(exc.history.tagged("lobpcg", offset))
         raise NonConvergenceError(str(exc), history=combined,
                                   result=exc.result) from exc
-    merge()
+    combined.extend(rec_lob.tagged("lobpcg", offset))
     return es, combined

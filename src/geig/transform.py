@@ -30,11 +30,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .errors import (
-    InvalidArgumentError,
-    NotPositiveDefiniteError,
-    UnsupportedOperationError,
-)
+from .errors import InvalidArgumentError, NotPositiveDefiniteError
 from .hierarchy import Hierarchy, build_hierarchy
 from .sparse import (
     SparseOperator,
@@ -65,7 +61,9 @@ class GambletDecomposition:
 
     ``A[k]`` is the level-k stiffness for k = 1..q (level q is the input
     matrix), ``B[k]`` the wavelet-block stiffness and ``R[k]`` the
-    interpolation from level k-1 onto level k, both for k = 2..q.
+    interpolation from level k-1 onto level k, both for k = 2..q.  The
+    level-k basis is the chain product of the interpolations, so
+    :meth:`prolong` derives it whenever it is needed.
     """
 
     q: int
@@ -77,20 +75,16 @@ class GambletDecomposition:
     radius: Optional[int]
     droptol: Optional[float]
     variant: str = "adapted"
-    Psi: Optional[dict] = None
     _cache: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def tracked(self):
-        return self.Psi is not None
 
     def level_dim(self, k):
         return self.A[k].nrows
 
-    def prolong(self, k, Y):
-        """Carry level-k coefficients to fine (level-q) coefficients."""
+    def prolong(self, k, Y, to=None):
+        """Carry level-k coefficients to level ``to`` (default: the fine
+        level q) through the chain product of the interpolations."""
         out = np.asarray(Y, dtype=np.float64)
-        for j in range(k + 1, self.q + 1):
+        for j in range(k + 1, (self.q if to is None else to) + 1):
             out = self.R[j].to_scipy().T @ out
         return out
 
@@ -106,10 +100,7 @@ class GambletDecomposition:
         """Dense matrix of the coarsest-level basis expressed at level k."""
         key = ("coarse_basis", k)
         if key not in self._cache:
-            P = np.eye(self.level_dim(1))
-            for j in range(2, k + 1):
-                P = self.R[j].to_scipy().T @ P
-            self._cache[key] = P
+            self._cache[key] = self.prolong(1, np.eye(self.level_dim(1)), to=k)
         return self._cache[key]
 
     def coarse_solver(self):
@@ -189,8 +180,7 @@ def _ball_indices(parent, side, coords_y, coords_x, rad):
 
 
 def transform(A_fine, hier, mode="exact", radius=_DEFAULT_RADIUS,
-              droptol=_DEFAULT_DROPTOL, track_vectors=False,
-              variant="adapted"):
+              droptol=_DEFAULT_DROPTOL, variant="adapted"):
     """Run the level-by-level decomposition of an SPD matrix.
 
     Parameters
@@ -208,9 +198,6 @@ def transform(A_fine, hier, mode="exact", radius=_DEFAULT_RADIUS,
         |a_ij| > ``_LEVEL_DROP_TOL`` sqrt(a_ii a_jj), checks that the result
         is SPD, and builds the next level from it.  The fine level A_q is
         ``A_fine`` itself in both modes.  Both solve directly, by Cholesky.
-    track_vectors : bool
-        Keep per-level basis coefficient matrices for diagnostics.  Dense
-        storage, intended for small problems.
     variant : "adapted" or "geometric"
         "geometric" skips the operator-adapted correction term and uses the
         plain nesting matrices as interpolations (the baseline the adapted
@@ -237,9 +224,6 @@ def transform(A_fine, hier, mode="exact", radius=_DEFAULT_RADIUS,
     A_levels = {q: A_fine}
     B_levels = {}
     R_levels = {}
-    Psi = None
-    if track_vectors:
-        Psi = {q: SparseOperator.identity(A_fine.nrows)}
 
     for k in range(q, 1, -1):
         A_k = A_levels[k]
@@ -257,18 +241,12 @@ def transform(A_fine, hier, mode="exact", radius=_DEFAULT_RADIUS,
         A_levels[k - 1] = galerkin_triple(R_k, A_k)
         if mode == "localized":
             A_levels[k - 1] = _truncate_level(A_levels[k - 1], k - 1)
-        if track_vectors:
-            psi_k = Psi[k]
-            if isinstance(psi_k, SparseOperator):
-                Psi[k - 1] = (R_k.to_scipy() @ psi_k.to_scipy()).toarray()
-            else:
-                Psi[k - 1] = np.asarray(R_k.to_scipy() @ psi_k)
 
     return GambletDecomposition(
         q=q, A=A_levels, B=B_levels, R=R_levels, hierarchy=hier, mode=mode,
         radius=radius if mode == "localized" else None,
         droptol=droptol if mode == "localized" else None,
-        variant=variant, Psi=Psi)
+        variant=variant)
 
 
 def _adapted_interpolation(A_k, B_k, W, pi, hier, k, mode, radius, droptol):
@@ -388,24 +366,16 @@ def oracle_level_matrices(A_fine, Pi_k):
 
 
 def wavelet_vectors(dec, k):
-    """Fine-basis coefficient matrices (Psi_k, Chi_k) of the level-k bases.
+    """Fine-basis coefficient matrices (psi_k, chi_k) of the level-k bases.
 
-    Psi rows span the level-k trial space; Chi rows (k >= 2) span its
-    detail complement.  Requires the decomposition to have been built with
-    ``track_vectors=True``.
+    psi rows span the level-k trial space; chi rows (k >= 2) span its
+    detail complement.  Both are dense, so this is meant for small problems.
     """
-    if not dec.tracked:
-        raise UnsupportedOperationError(
-            "decomposition was built without vector tracking")
     if not 1 <= k <= dec.q:
         raise InvalidArgumentError(f"level {k} out of range")
-    psi = dec.Psi[k]
-    psi_arr = psi.to_dense() if isinstance(psi, SparseOperator) else psi
-    chi = None
-    if k >= 2:
-        W_sp = dec.hierarchy.Ws[k].to_scipy()
-        chi = np.asarray(W_sp @ psi_arr)
-    return psi_arr, chi
+    psi = dec.prolong(k, np.eye(dec.level_dim(k))).T
+    chi = dec.hierarchy.Ws[k].to_scipy() @ psi if k >= 2 else None
+    return psi, chi
 
 
 def decay_profile(dec, k, i, n_max=None):
@@ -416,16 +386,14 @@ def decay_profile(dec, k, i, n_max=None):
     tail_energy is the square root of the energy quadratic form of the
     vector restricted outside the ball.  n = 0 reports the total energy.
     """
-    if not dec.tracked:
-        raise UnsupportedOperationError(
-            "decomposition was built without vector tracking")
     hier = dec.hierarchy
     if not 1 <= k <= dec.q:
         raise InvalidArgumentError(f"level {k} out of range")
     if not 0 <= i < dec.level_dim(k):
         raise InvalidArgumentError(f"vector index {i} out of range at level {k}")
-    psi, _ = wavelet_vectors(dec, k)
-    vec = np.asarray(psi[i]).ravel()
+    unit = np.zeros(dec.level_dim(k))
+    unit[i] = 1.0
+    vec = dec.prolong(k, unit)
     centers = hier.level_centers(k)
     center = centers[i]
     coords = hier.grid.interior_coords()
@@ -455,19 +423,12 @@ def save_decomposition(dec, dirpath):
         "variant": dec.variant,
         "grid_n": dec.hierarchy.grid.n_cells,
         "sizes": {str(k): dec.A[k].nrows for k in range(1, dec.q + 1)},
-        "tracked": dec.tracked,
     }
     for k in range(1, dec.q + 1):
         dump_coordinate(dec.A[k], os.path.join(dirpath, f"A_{k}.txt"))
     for k in range(2, dec.q + 1):
         dump_coordinate(dec.B[k], os.path.join(dirpath, f"B_{k}.txt"))
         dump_coordinate(dec.R[k], os.path.join(dirpath, f"R_{k}.txt"))
-    if dec.tracked:
-        for k in range(1, dec.q + 1):
-            psi = dec.Psi[k]
-            op = psi if isinstance(psi, SparseOperator) \
-                else SparseOperator.from_dense(psi)
-            dump_coordinate(op, os.path.join(dirpath, f"Psi_{k}.txt"))
     with open(os.path.join(dirpath, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
@@ -493,14 +454,7 @@ def load_decomposition(dirpath):
                                symmetric=True)
         R[k] = load_coordinate(os.path.join(dirpath, f"R_{k}.txt"),
                                shape=(sizes[k - 1], sizes[k]))
-    Psi = None
-    if manifest.get("tracked"):
-        Psi = {}
-        for k in range(1, q + 1):
-            op = load_coordinate(os.path.join(dirpath, f"Psi_{k}.txt"),
-                                 shape=(sizes[k], sizes[q]))
-            Psi[k] = op if k == q else op.to_dense()
     return GambletDecomposition(
         q=q, A=A, B=B, R=R, hierarchy=hier, mode=manifest["mode"],
         radius=manifest["radius"], droptol=manifest["droptol"],
-        variant=manifest.get("variant", "adapted"), Psi=Psi)
+        variant=manifest.get("variant", "adapted"))

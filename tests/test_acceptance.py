@@ -287,7 +287,7 @@ def test_criterion_09_decay_diagnostic():
     grid = Grid(64)
     K, _ = assemble(grid, CoefficientField.constant(grid))
     hier = build_hierarchy(6, grid)
-    dec = transform(K, hier, mode="exact", track_vectors=True)
+    dec = transform(K, hier, mode="exact")
     centers = hier.level_centers(2)
     i = int(np.argmin(np.linalg.norm(centers, axis=1)))
     prof = decay_profile(dec, 2, i)

@@ -1,6 +1,9 @@
+import io
 import json
+from contextlib import redirect_stdout
 
 import numpy as np
+import pytest
 
 from geig.cli import main, run_experiment, validate_config
 
@@ -59,6 +62,41 @@ class TestValidate:
     def test_unknown_solver(self, tmp_path):
         _, errors = validate_config(write_config(tmp_path, solver="magic"))
         assert any(e.startswith("solver:") for e in errors)
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"grid_n": "abc"}, "grid_n"),
+        ({"nev": 1.7}, "nev"),
+        ({"levels": True}, "levels"),
+        ({"problem": {"kind": "constant", "value": "x"}}, "problem.value"),
+        ({"problem": {"kind": "anderson", "eps": 0.0}}, "problem.eps"),
+        ({"mc": [1]}, "mc"),
+        ({"mc": {"varpi": 1.5}}, "mc.varpi"),
+        ({"mc": {"exact_inner": "no"}}, "mc.exact_inner"),
+        ({"mg": {"lambda_bound_factor": "2"}}, "mg.lambda_bound_factor"),
+        ({"lobpcg": {"seed": "one"}}, "lobpcg.seed"),
+        ({"transform": ["exact"]}, "transform"),
+        ({"transform": {"mode": "localized", "radius": 2.5}},
+         "transform.radius"),
+        (None, "config"),
+    ])
+    def test_badly_typed_input_is_reported(self, tmp_path, capsys, overrides,
+                                           field):
+        if overrides is None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps([1, 2]))
+        else:
+            path = write_config(tmp_path, **overrides)
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {field}: " in err
+        assert "Traceback" not in err
+
+    def test_integral_float_is_an_integer(self, tmp_path):
+        config, errors = validate_config(write_config(tmp_path, grid_n=16.0,
+                                                      mc={"varpi": 2.0}))
+        assert errors == []
+        assert config.grid_n == 16 and isinstance(config.grid_n, int)
+        assert config.mc.varpi == 2 and isinstance(config.mc.varpi, int)
 
     def test_validate_command_exit_codes(self, tmp_path, capsys):
         good = write_config(tmp_path)
@@ -185,17 +223,40 @@ class TestTransformDiag:
         assert (tmp_path / "out" / "history.csv").read_bytes() == \
             (tmp_path / "replay" / "history.csv").read_bytes()
 
-    def test_diag_reports_decay_for_tracked_decomposition(self, tmp_path):
-        write_config(tmp_path,
-                     transform={"mode": "exact", "track_vectors": True})
-        assert main(["transform", str(tmp_path / "config.json")]) == 0
-        import io
-        from contextlib import redirect_stdout
+    def test_manifest_with_track_vectors_still_replays(self, tmp_path):
+        """Manifests written before the level bases were derived on demand
+        carry ``transform.track_vectors``; the key is ignored."""
+        config, errors = validate_config(
+            write_config(tmp_path, transform={"mode": "exact",
+                                              "track_vectors": True}))
+        assert errors == []
+        run_experiment(config)
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert "track_vectors" not in manifest["config"]["transform"]
+        manifest["config"]["transform"]["track_vectors"] = False
+        replay = dict(manifest["config"], output_dir=str(tmp_path / "replay"))
+        config2, errors = validate_config(replay)
+        assert errors == []
+        run_experiment(config2)
+        assert (tmp_path / "out" / "history.csv").read_bytes() == \
+            (tmp_path / "replay" / "history.csv").read_bytes()
 
+    @pytest.mark.parametrize("transform", [
+        {"mode": "exact"},
+        {"mode": "localized", "radius": 1},
+    ], ids=["exact", "localized"])
+    def test_diag_reports_decay(self, tmp_path, transform):
+        config, _ = validate_config(write_config(tmp_path,
+                                                 transform=transform))
+        run_experiment(config)
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert main(["transform", str(tmp_path / "config.json")]) == 0
         buf = io.StringIO()
         with redirect_stdout(buf):
             assert main(["diag", str(tmp_path / "out" / "decomposition")]) == 0
         report = json.loads(buf.getvalue())
+        assert report["cond_B"] == summary["cond_B"]
+        assert report["decay"]["level"] == 2
         assert report["decay"]["slope"] < 0
         assert report["decay"]["profile"][0][0] == 0
 
@@ -204,9 +265,6 @@ class TestTransformDiag:
         run_experiment(config)
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert main(["transform", str(tmp_path / "config.json")]) == 0
-        import io
-        from contextlib import redirect_stdout
-
         buf = io.StringIO()
         with redirect_stdout(buf):
             code = main(["diag", str(tmp_path / "out" / "decomposition")])

@@ -35,13 +35,13 @@ from geig.transform import oracle_level_matrices, transform, wavelet_vectors
 from _oracles import random_spd, tridiag_laplacian_spectrum
 
 
-def setup_problem(n, q, field=None, mode="exact", track=False):
+def setup_problem(n, q, field=None, mode="exact"):
     grid = Grid(n)
     if field is None:
         field = CoefficientField.constant(grid)
     K, M = assemble(grid, field)
     hier = build_hierarchy(q, grid)
-    dec = transform(K, hier, mode=mode, track_vectors=track)
+    dec = transform(K, hier, mode=mode)
     return K, M, dec
 
 
@@ -79,7 +79,7 @@ class TestCoarseEigensolve:
     def test_coarse_matrices_match_projected_oracle(self, monkeypatch):
         pencils = record_coarse_pencils(monkeypatch)
         for mode in ("exact", "localized"):
-            K, M, dec = setup_problem(16, 3, mode=mode, track=True)
+            K, M, dec = setup_problem(16, 3, mode=mode)
             _, a_oracle = oracle_level_matrices(K, dec.hierarchy.aggregate(1))
             pencils.clear()
             coarse_eigensolve(dec, M, 1)

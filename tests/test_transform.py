@@ -1,18 +1,15 @@
+import json
 import sys
 
 import numpy as np
 import pytest
 
 from geig.correction import McParams, multilevel_correction
-from geig.errors import (
-    InvalidArgumentError,
-    NotPositiveDefiniteError,
-    UnsupportedOperationError,
-)
+from geig.errors import InvalidArgumentError, NotPositiveDefiniteError
 from geig.fem import CoefficientField, Grid, assemble, gen_checkerboard
 from geig.hierarchy import build_hierarchy
 from geig.lobpcg import GambletPreconditioner, LobpcgParams, lobpcg
-from geig.sparse import SparseOperator, galerkin_triple
+from geig.sparse import SparseOperator, dump_coordinate, galerkin_triple
 from geig.transform import (
     _DENSE_BLOCK_FILL,
     _LEVEL_DROP_TOL,
@@ -112,14 +109,14 @@ class TestTransformExact:
 class TestWaveletVectors:
     def test_fine_level_identity(self):
         K, _, hier = make_problem(8, 2)
-        dec = transform(K, hier, track_vectors=True)
+        dec = transform(K, hier)
         psi, chi = wavelet_vectors(dec, 2)
         np.testing.assert_array_equal(psi, np.eye(K.nrows))
         assert chi.shape == (hier.Ws[2].nrows, K.nrows)
 
     def test_biorthogonality(self):
         K, _, hier = make_problem(16, 3)
-        dec = transform(K, hier, mode="exact", track_vectors=True)
+        dec = transform(K, hier, mode="exact")
         for k in (1, 2):
             psi, _ = wavelet_vectors(dec, k)
             phi = hier.aggregate(k).to_dense()
@@ -128,7 +125,7 @@ class TestWaveletVectors:
 
     def test_scale_energy_orthogonality(self):
         K, _, hier = make_problem(16, 3)
-        dec = transform(K, hier, mode="exact", track_vectors=True)
+        dec = transform(K, hier, mode="exact")
         Ks = K.to_scipy()
         chis = {}
         psi1, _ = wavelet_vectors(dec, 1)
@@ -146,7 +143,7 @@ class TestWaveletVectors:
     def test_block_diagonal_solve_matches_direct(self):
         # solving through the per-scale blocks reproduces the direct solve
         K, _, hier = make_problem(16, 3)
-        dec = transform(K, hier, mode="exact", track_vectors=True)
+        dec = transform(K, hier, mode="exact")
         rng = np.random.default_rng(3)
         g = rng.standard_normal(K.nrows)
         psi1, _ = wavelet_vectors(dec, 1)
@@ -159,17 +156,11 @@ class TestWaveletVectors:
         ref = np.sqrt(exact @ K.to_scipy() @ exact)
         assert err <= 1e-9 * ref
 
-    def test_tracking_required(self):
-        K, _, hier = make_problem(8, 2)
-        dec = transform(K, hier)
-        with pytest.raises(UnsupportedOperationError):
-            wavelet_vectors(dec, 1)
-
 
 class TestDecayProfile:
     def test_total_energy_at_zero_radius(self):
         K, _, hier = make_problem(16, 3)
-        dec = transform(K, hier, mode="exact", track_vectors=True)
+        dec = transform(K, hier, mode="exact")
         psi, _ = wavelet_vectors(dec, 2)
         prof = decay_profile(dec, 2, 5)
         v = psi[5]
@@ -178,7 +169,7 @@ class TestDecayProfile:
 
     def test_tails_decrease_from_center_cell(self):
         K, _, hier = make_problem(16, 3)
-        dec = transform(K, hier, mode="exact", track_vectors=True)
+        dec = transform(K, hier, mode="exact")
         centers = hier.level_centers(2)
         i = int(np.argmin(np.linalg.norm(centers, axis=1)))
         prof = decay_profile(dec, 2, i)
@@ -188,7 +179,7 @@ class TestDecayProfile:
 
     def test_index_out_of_range(self):
         K, _, hier = make_problem(8, 2)
-        dec = transform(K, hier, track_vectors=True)
+        dec = transform(K, hier)
         with pytest.raises(InvalidArgumentError):
             decay_profile(dec, 1, 999)
 
@@ -296,6 +287,16 @@ class TestLevelTruncation:
                 assert np.abs(dec.A[k].to_dense() - ref).max() \
                     <= 1e-12 * np.abs(ref).max()
 
+    def test_prolong_chains_through_intermediate_levels(self):
+        K, _, hier = checker_problem(16, 3, seed=2)
+        dec = transform(K, hier, mode="localized", radius=1)
+        Y = np.random.default_rng(1).standard_normal((dec.level_dim(1), 3))
+        Y2 = dec.prolong(1, Y, to=2)
+        np.testing.assert_array_equal(Y2, dec.R[2].to_scipy().T @ Y)
+        np.testing.assert_array_equal(dec.prolong(2, Y2), dec.prolong(1, Y))
+        np.testing.assert_array_equal(dec.coarse_basis(2),
+                                      dec.prolong(1, np.eye(len(Y)), to=2))
+
     def test_indefinite_truncation_refused_naming_the_level(self):
         # rows 2 and 3 couple through row 1 alone once their small entry
         # s is dropped: the kept matrix has the eigenvalue 1 - sqrt(2) g
@@ -373,7 +374,7 @@ class TestGeometricVariant:
 class TestSerialization:
     def test_roundtrip(self, tmp_path):
         K, _, hier = make_problem(16, 3)
-        dec = transform(K, hier, mode="exact", track_vectors=True)
+        dec = transform(K, hier, mode="exact")
         save_decomposition(dec, tmp_path / "dec")
         back = load_decomposition(tmp_path / "dec")
         assert back.q == dec.q
@@ -386,3 +387,28 @@ class TestSerialization:
         psi_b, _ = wavelet_vectors(back, 1)
         psi_o, _ = wavelet_vectors(dec, 1)
         np.testing.assert_array_equal(psi_b, psi_o)
+
+    def test_loads_a_decomposition_saved_with_basis_files(self, tmp_path):
+        """A directory whose manifest is marked "tracked" and that holds the
+        dense per-level bases Psi_k.txt still loads; the bases are derived
+        from the interpolations, so the extra files are ignored."""
+        K, _, hier = make_problem(16, 3)
+        dec = transform(K, hier, mode="exact")
+        out = tmp_path / "dec"
+        save_decomposition(dec, out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["tracked"] = True
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        for k in range(1, dec.q + 1):
+            psi, _ = wavelet_vectors(dec, k)
+            dump_coordinate(SparseOperator.from_dense(psi),
+                            out / f"Psi_{k}.txt")
+        back = load_decomposition(out)
+        fresh = transform(K, hier, mode="exact")
+        for k in range(1, dec.q + 1):
+            for got, want in zip(wavelet_vectors(back, k),
+                                 wavelet_vectors(fresh, k)):
+                if want is None:
+                    assert got is None
+                else:
+                    np.testing.assert_array_equal(got, want)
