@@ -19,9 +19,10 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, field as dataclass_field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 import scipy
@@ -29,7 +30,7 @@ import scipy
 from . import __version__
 from .correction import McParams, multilevel_correction
 from .diagnostics import decay_fit, measure_contraction, wavelet_condition_numbers
-from .errors import GeigError, InvalidArgumentError, NonConvergenceError
+from .errors import GeigError, NonConvergenceError
 from .fem import (
     CoefficientField,
     Grid,
@@ -40,7 +41,7 @@ from .fem import (
     load_coefficient_file,
     nearest_dyadic_eps,
 )
-from .hierarchy import build_hierarchy, level_dim
+from .hierarchy import build_hierarchy, cell_depths, level_dim
 from .lobpcg import (
     GambletPreconditioner,
     IdentityPreconditioner,
@@ -50,7 +51,15 @@ from .lobpcg import (
     lobpcg,
 )
 from .multigrid import MgParams
-from .transform import decay_profile, load_decomposition, save_decomposition, transform
+from .transform import (
+    _DEFAULT_DROPTOL,
+    _DEFAULT_RADIUS,
+    check_options,
+    decay_profile,
+    load_decomposition,
+    save_decomposition,
+    transform,
+)
 
 _SOLVERS = ("mc", "lobpcg", "hybrid")
 _PRECONDITIONERS = ("gamblet", "jacobi", "identity")
@@ -78,22 +87,56 @@ class ExperimentConfig:
     lobpcg_seed: int
     transform_opts: dict
     output_dir: str
-    resolved: dict = dataclass_field(default_factory=dict, repr=False)
+
+    @property
+    def resolved(self):
+        """The config as the manifest records it, with every field of the
+        parameter objects, so that it alone reproduces the run."""
+        return {
+            "problem": self.problem,
+            "grid_n": self.grid_n,
+            "levels": self.levels,
+            "nev": self.nev,
+            "solver": self.solver,
+            "baseline": self.baseline,
+            "mg": asdict(self.mg),
+            "mc": {k: v for k, v in asdict(self.mc).items() if k != "mg"},
+            "lobpcg": dict(asdict(self.lobpcg),
+                           preconditioner=self.lobpcg_preconditioner,
+                           seed=self.lobpcg_seed),
+            "transform": self.transform_opts,
+            "output_dir": self.output_dir,
+        }
 
 
 def _scalar(raw, name, default, errors):
     """The entry of ``raw`` named by the last part of ``name``, or ``default``,
     if it has the JSON type of ``default``: bool, integer (an integral float
-    passes) or number.  Else it adds an error and gives ``default``."""
+    passes) or finite number.  Else it adds an error and gives ``default``."""
     value = raw.get(name.rpartition(".")[2], default)
     want = type(default)
     if want is int and isinstance(value, float) and value.is_integer():
         value = int(value)
-    if type(value) is not want and not (want is float and type(value) is int):
-        kind = {bool: "true or false", int: "an integer", float: "a number"}
-        errors.append(f"{name}: must be {kind[want]}, got {value!r}")
-        return default
-    return want(value)
+    if type(value) is want or (want is float and type(value) is int):
+        try:
+            if want is not float or math.isfinite(value):
+                return want(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    kind = {bool: "true or false", int: "an integer", float: "a finite number"}
+    errors.append(f"{name}: must be {kind[want]}, got {value!r}")
+    return default
+
+
+def _checked(errors, prefix, check, *args, **kwargs):
+    """``check(*args, **kwargs)``, or None after adding the message of its
+    ValueError (InvalidArgumentError or NumPy's) to ``errors`` under
+    ``prefix``."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        errors.append(f"{prefix}: {exc}")
+        return None
 
 
 def _section(data, name, errors):
@@ -118,7 +161,9 @@ def _params(cls, name, raw, errors, **fixed):
         return cls(**fixed)
 
 
-def _normalize_problem(raw, grid_n, errors):
+def _normalize_problem(raw, grid, errors):
+    """The problem section with its defaults; on a valid ``grid`` the
+    generators' own checks judge its values.  Files are not read."""
     if raw is None:
         errors.append("problem: missing")
         return None
@@ -134,49 +179,33 @@ def _normalize_problem(raw, grid_n, errors):
     out = {"kind": kind}
     for key, default in _PROBLEM_NUMBERS[kind].items():
         out[key] = _scalar(raw, f"problem.{key}", default, errors)
-    if kind == "constant" and out["value"] <= 0:
-        errors.append("problem.value: must be positive")
-    elif kind == "checkerboard" and (out["lo"] <= 0 or out["hi"] <= 0):
-        errors.append("problem.lo/hi: must be positive")
-    elif kind == "coefficient_file":
+    if kind == "coefficient_file":
         if "path" not in raw:
             errors.append("problem.path: required for coefficient_file")
         else:
             out["path"] = str(raw["path"])
-    elif kind == "anderson":
-        if out["alpha"] < 0 or out["beta"] < 0:
-            errors.append("problem.alpha/beta: must be nonnegative")
-        if out["eps"] > 0:  # else the tiling check below reports it
-            out["eps"] = nearest_dyadic_eps(out["eps"])
-    if kind in ("checkerboard", "anderson") and grid_n >= 2:
-        try:
-            _block_layout(out["eps"], Grid(grid_n))
-        except InvalidArgumentError as exc:
-            errors.append(f"problem.eps: {exc}")
+        return out
+    if kind == "anderson" and out["eps"] > 0:  # else the tiling check reports it
+        out["eps"] = nearest_dyadic_eps(out["eps"])
+    if grid is not None and (kind == "constant" or _checked(
+            errors, "problem.eps", _block_layout, out["eps"], grid)):
+        _checked(errors, "problem", build_field, out, grid)
     return out
 
 
 def _normalize_transform(raw, grid_n, errors):
     if raw is None:
-        mode = "exact" if grid_n <= 32 else "localized"
-        raw = {"mode": mode}
+        raw = "exact" if grid_n <= 32 else "localized"
     if isinstance(raw, str):
         raw = {"mode": raw}
     if not isinstance(raw, dict):
         errors.append(f"transform: must be a mode name or an object, got {raw!r}")
         return None
-    mode = raw.get("mode")
-    if mode not in ("exact", "localized"):
-        errors.append(f"transform.mode: must be 'exact' or 'localized', got {mode!r}")
-        return None
-    out = {"mode": mode}
-    if mode == "localized":
-        out["radius"] = _scalar(raw, "transform.radius", 3, errors)
-        out["droptol"] = _scalar(raw, "transform.droptol", 1e-9, errors)
-        if out["radius"] < 1:
-            errors.append("transform.radius: must be >= 1")
-        if out["droptol"] <= 0:
-            errors.append("transform.droptol: must be positive")
+    out = {"mode": raw.get("mode")}
+    if out["mode"] == "localized":
+        out["radius"] = _scalar(raw, "transform.radius", _DEFAULT_RADIUS, errors)
+        out["droptol"] = _scalar(raw, "transform.droptol", _DEFAULT_DROPTOL, errors)
+    _checked(errors, "transform", check_options, **out)
     return out
 
 
@@ -190,7 +219,7 @@ def validate_config(source):
                 data = json.load(fh)
         except FileNotFoundError:
             return None, [f"config file not found: {source}"]
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, bad UTF-8, too many digits
             return None, [f"config is not valid JSON: {exc}"]
     else:
         data = source
@@ -200,18 +229,14 @@ def validate_config(source):
     grid_n = _scalar(data, "grid_n", 0, errors)
     levels = _scalar(data, "levels", 0, errors)
     nev = _scalar(data, "nev", 0, errors)
+    grid = depths = None
     if not errors:  # else the range checks would only repeat them
-        if grid_n < 2:
-            errors.append(f"grid_n: must be >= 2, got {grid_n}")
-        if levels < 1:
-            errors.append(f"levels: must be >= 1, got {levels}")
-        tiled = grid_n >= 2 and levels >= 1 and grid_n % (2 ** levels) == 0
-        if grid_n >= 2 and levels >= 1 and not tiled:
-            errors.append(
-                f"grid_n: {grid_n} not divisible by 2^levels={2 ** levels}")
+        grid = _checked(errors, "grid_n", Grid, grid_n)
+        if grid is not None:
+            depths = _checked(errors, "levels", cell_depths, levels, grid_n)
         if nev < 1:
             errors.append(f"nev: must be >= 1, got {nev}")
-        elif tiled:
+        elif depths is not None:
             cdim = level_dim(1, levels, grid_n)
             if nev > cdim:
                 errors.append(
@@ -225,7 +250,7 @@ def validate_config(source):
     if baseline not in ("gamblet", "geometric"):
         errors.append(f"baseline: must be 'gamblet' or 'geometric', got {baseline!r}")
 
-    problem = _normalize_problem(data.get("problem"), grid_n, errors)
+    problem = _normalize_problem(data.get("problem"), grid, errors)
     transform_opts = _normalize_transform(data.get("transform"), grid_n, errors)
 
     mg_params = _params(MgParams, "mg", _section(data, "mg", errors), errors)
@@ -243,36 +268,14 @@ def validate_config(source):
     output_dir = str(data.get("output_dir", "geig_out"))
     if errors:
         return None, errors
-
-    resolved = {
-        "problem": problem,
-        "grid_n": grid_n,
-        "levels": levels,
-        "nev": nev,
-        "solver": solver,
-        "baseline": baseline,
-        "mg": {"m1": mg_params.m1, "m2": mg_params.m2, "p": mg_params.p,
-               "smoother": mg_params.smoother,
-               "lambda_bound_factor": mg_params.lambda_bound_factor,
-               "variant": mg_params.variant},
-        "mc": {"varpi": mc_params.varpi, "tol": mc_params.tol,
-               "fine_level_extra": mc_params.fine_level_extra,
-               "exact_inner": mc_params.exact_inner},
-        "lobpcg": {"tol": lob_params.tol, "maxit": lob_params.maxit,
-                   "preconditioner": prec, "seed": lob_seed},
-        "transform": transform_opts,
-        "output_dir": output_dir,
-    }
     return ExperimentConfig(
         problem=problem, grid_n=grid_n, levels=levels, nev=nev,
         solver=solver, baseline=baseline, mc=mc_params, mg=mg_params,
         lobpcg=lob_params, lobpcg_preconditioner=prec, lobpcg_seed=lob_seed,
-        transform_opts=transform_opts, output_dir=output_dir,
-        resolved=resolved), []
+        transform_opts=transform_opts, output_dir=output_dir), []
 
 
-def build_field(config, grid):
-    prob = config.problem
+def build_field(prob, grid):
     kind = prob["kind"]
     if kind == "constant":
         return CoefficientField.constant(grid, prob["value"])
@@ -285,10 +288,20 @@ def build_field(config, grid):
     return load_coefficient_file(prob["path"])
 
 
-def build_decomposition(config, K):
-    hier = build_hierarchy(config.levels, Grid(config.grid_n))
+def build_problem(config):
+    """The stiffness and mass matrices of a validated config and the
+    decomposition of the stiffness: (K, M, dec)."""
+    grid = Grid(config.grid_n)
+    K, M = assemble(grid, build_field(config.problem, grid))
+    hier = build_hierarchy(config.levels, grid)
     variant = "geometric" if config.baseline == "geometric" else "adapted"
-    return transform(K, hier, variant=variant, **config.transform_opts)
+    return K, M, transform(K, hier, variant=variant, **config.transform_opts)
+
+
+def _cond_b(dec):
+    """cond(B^(k)) per detail level, keyed by the level as text."""
+    cond_b = wavelet_condition_numbers(dec)
+    return {str(k): cond_b[k] for k in sorted(cond_b)}
 
 
 def _atomic_write(path, text):
@@ -308,41 +321,28 @@ def _make_preconditioner(name, K, dec, mg_params):
 
 def run_experiment(config):
     """Execute one configured run; returns the process exit status."""
-    grid = Grid(config.grid_n)
-    field = build_field(config, grid)
-    K, M = assemble(grid, field)
-    dec = build_decomposition(config, K)
-
-    def unpack(exc):
-        if exc.result is None or exc.history is None:
-            raise exc
-        return exc.result, exc.history, False
-
+    K, M, dec = build_problem(config)
     converged = True
-    if config.solver == "mc":
-        try:
+    try:
+        if config.solver == "mc":
             eigset, record = multilevel_correction(dec, M, config.nev,
                                                    config.mc)
-        except NonConvergenceError as exc:
-            eigset, record, converged = unpack(exc)
-    elif config.solver == "lobpcg":
-        rng = np.random.default_rng(config.lobpcg_seed)
-        X0 = rng.standard_normal((K.nrows, config.nev))
-        B = _make_preconditioner(config.lobpcg_preconditioner, K, dec,
-                                 config.mg)
-        try:
+        elif config.solver == "lobpcg":
+            rng = np.random.default_rng(config.lobpcg_seed)
+            X0 = rng.standard_normal((K.nrows, config.nev))
+            B = _make_preconditioner(config.lobpcg_preconditioner, K, dec,
+                                     config.mg)
             eigset, record = lobpcg(K, M, B, X0, config.nev, config.lobpcg,
                                     level=config.levels)
-        except NonConvergenceError as exc:
-            eigset, record, converged = unpack(exc)
-    else:
-        try:
+        else:
             eigset, record = hybrid_solve(dec, M, config.nev, config.mc,
                                           config.lobpcg)
-        except NonConvergenceError as exc:
-            eigset, record, converged = unpack(exc)
+    except NonConvergenceError as exc:
+        if exc.result is None or exc.history is None:
+            raise
+        eigset, record, converged = exc.result, exc.history, False
 
-    cond_b = wavelet_condition_numbers(dec) if dec.q > 1 else {}
+    cond_b = _cond_b(dec)
     contraction = measure_contraction(dec, config.mg) if dec.q > 1 else 0.0
 
     os.makedirs(config.output_dir, exist_ok=True)
@@ -353,7 +353,7 @@ def run_experiment(config):
         "residuals": [float(v) for v in eigset.residuals],
         "iterations": record.last_sweep(),
         "converged": converged,
-        "cond_B": {str(k): cond_b[k] for k in sorted(cond_b)},
+        "cond_B": cond_b,
         "mg_contraction": contraction,
     }
     _atomic_write(os.path.join(config.output_dir, "summary.json"),
@@ -371,59 +371,28 @@ def run_experiment(config):
     return 0 if converged else 2
 
 
-def _cmd_run(args):
-    config, errors = validate_config(args.config)
-    if errors:
-        for e in errors:
-            print(f"error: {e}", file=sys.stderr)
-        return 1
-    try:
-        return run_experiment(config)
-    except (GeigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+def _cmd_run(config, args):
+    return run_experiment(config)
 
 
-def _cmd_validate(args):
-    config, errors = validate_config(args.config)
-    if errors:
-        for e in errors:
-            print(f"error: {e}", file=sys.stderr)
-        return 1
+def _cmd_validate(config, args):
     print("config OK")
     if args.resolved:
         print(json.dumps(config.resolved, indent=2, sort_keys=True))
     return 0
 
 
-def _cmd_transform(args):
-    config, errors = validate_config(args.config)
-    if errors:
-        for e in errors:
-            print(f"error: {e}", file=sys.stderr)
-        return 1
-    try:
-        grid = Grid(config.grid_n)
-        field = build_field(config, grid)
-        K, _ = assemble(grid, field)
-        dec = build_decomposition(config, K)
-        out = os.path.join(config.output_dir, "decomposition")
-        save_decomposition(dec, out)
-        print(out)
-        return 0
-    except (GeigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+def _cmd_transform(config, args):
+    _, _, dec = build_problem(config)
+    out = os.path.join(config.output_dir, "decomposition")
+    save_decomposition(dec, out)
+    print(out)
+    return 0
 
 
 def _cmd_diag(args):
-    try:
-        dec = load_decomposition(args.decomposition_dir)
-    except (GeigError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    cond_b = wavelet_condition_numbers(dec) if dec.q > 1 else {}
-    report = {"cond_B": {str(k): cond_b[k] for k in sorted(cond_b)}}
+    dec = load_decomposition(args.decomposition_dir)
+    report = {"cond_B": _cond_b(dec)}
     if dec.q >= 2:
         centers = dec.hierarchy.level_centers(2)
         i = int(np.argmin(np.linalg.norm(centers, axis=1)))
@@ -465,10 +434,19 @@ def main(argv=None):
     p_diag = sub.add_parser("diag",
                             help="diagnostics from a serialized decomposition")
     p_diag.add_argument("decomposition_dir")
-    p_diag.set_defaults(func=_cmd_diag)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        if args.command == "diag":
+            return _cmd_diag(args)
+        # every other command takes a config, validated and reported here
+        config, errors = validate_config(args.config)
+        for e in errors:
+            print(f"error: {e}", file=sys.stderr)
+        return 1 if config is None else args.func(config, args)
+    except (GeigError, OSError, json.JSONDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

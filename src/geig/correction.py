@@ -55,8 +55,8 @@ class McParams:
     def __post_init__(self):
         if self.varpi < 1:
             raise InvalidArgumentError("varpi must be >= 1")
-        if self.tol <= 0:
-            raise InvalidArgumentError("tol must be positive")
+        if not 0 < self.tol < np.inf:
+            raise InvalidArgumentError("tol must be finite and positive")
 
 
 @dataclass

@@ -57,10 +57,6 @@ class Grid:
     def n_unknowns(self):
         return self.n_interior ** 2
 
-    def node_index(self, ix, iy):
-        """Flat index of interior node (ix, iy), both in 1..n_cells-1."""
-        return (iy - 1) * self.n_interior + (ix - 1)
-
     def interior_coords(self):
         """(N, 2) physical coordinates of the interior nodes, flat order."""
         ticks = -1.0 + self.h * np.arange(1, self.n_cells)
@@ -160,9 +156,9 @@ def assemble(grid, field):
     cols = np.concatenate(cols)
     nunk = grid.n_unknowns
     K = SparseOperator.from_coo(rows, cols, np.concatenate(k_data),
-                                shape=(nunk, nunk), symmetric=True)
+                                shape=(nunk, nunk))
     M = SparseOperator.from_coo(rows, cols, np.concatenate(m_data),
-                                shape=(nunk, nunk), symmetric=True)
+                                shape=(nunk, nunk))
     return ProblemMatrices(K, M)
 
 

@@ -218,8 +218,14 @@ def cell_depths(q, n_cells):
     with ``n_cells`` cells per side, coarsest first.
 
     The deepest cell level spans two or more grid cells per side, and
-    coarser levels halve from there.
+    coarser levels halve from there.  Raises InvalidArgumentError unless
+    q >= 1 and 2^q divides ``n_cells``.
     """
+    if q < 1:
+        raise InvalidArgumentError("need at least one level")
+    if n_cells % (2 ** q) != 0:
+        raise InvalidArgumentError(
+            f"grid_n={n_cells} not divisible by 2^levels={2 ** q}")
     v = 0
     nn = n_cells
     while nn % 2 == 0:
@@ -246,15 +252,10 @@ def build_hierarchy(q, grid):
     Cell depths are those of :func:`cell_depths`; level q is the fine node
     set.
     """
-    n = grid.n_cells
-    if q < 1:
-        raise InvalidArgumentError("need at least one level")
-    if n % (2 ** q) != 0:
-        raise InvalidArgumentError(
-            f"grid_n={n} not divisible by 2^levels={2 ** q}")
+    depths = cell_depths(q, grid.n_cells)
     if q == 1:
         return Hierarchy(grid=grid, q=1, labels=[], pis=[], Ws={})
-    labels = [LevelLabels(d) for d in cell_depths(q, n)]
+    labels = [LevelLabels(d) for d in depths]
     pis = [haar_nesting(labels[i].depth) for i in range(q - 2)]
     pis.append(node_aggregation(labels[-1].depth, grid))
     Ws = {}

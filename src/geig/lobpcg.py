@@ -40,8 +40,8 @@ class LobpcgParams:
     maxit: int = 500
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise InvalidArgumentError("tol must be positive")
+        if not 0 < self.tol < np.inf:
+            raise InvalidArgumentError("tol must be finite and positive")
         if self.maxit < 1:
             raise InvalidArgumentError("maxit must be >= 1")
 

@@ -45,7 +45,7 @@ class MgParams:
     """Cycle shape and smoothing choices.
 
     m1, m2 >= 0 pre/post smoothing sweeps; p = 1 (V-cycle) or 2 (W-cycle);
-    smoother is "richardson" or "gauss_seidel"; lambda_bound_factor >= 1
+    smoother is "richardson" or "gauss_seidel"; finite lambda_bound_factor >= 1
     scales the Gershgorin bound used as the Richardson step reciprocal;
     variant picks where the restricted residual is evaluated;
     symmetric_smoothing reverses the postsmoothing sweep order.
@@ -68,8 +68,8 @@ class MgParams:
             raise InvalidArgumentError(f"unknown smoother {self.smoother!r}")
         if self.variant not in ("initial_residual", "presmoothed"):
             raise InvalidArgumentError(f"unknown variant {self.variant!r}")
-        if self.lambda_bound_factor < 1.0:
-            raise InvalidArgumentError("lambda_bound_factor must be >= 1")
+        if not 1.0 <= self.lambda_bound_factor < np.inf:
+            raise InvalidArgumentError("lambda_bound_factor must be finite and >= 1")
 
 
 def estimate_lambda_bound(A, factor=1.0):

@@ -8,12 +8,14 @@ for coarsest-level systems.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .errors import InvalidArgumentError, NotPositiveDefiniteError
+from .errors import InvalidArgumentError, LoadError, NotPositiveDefiniteError
 
 _SYM_RTOL = 1e-12
 
@@ -41,9 +43,6 @@ class SparseOperator:
     row_offsets : integer array, length nrows + 1, nondecreasing.
     col_indices : integer array, strictly increasing within each row.
     values : array of float64.
-    symmetric : bool
-        Declares that the matrix is (numerically) symmetric.  Checked on
-        demand by :func:`check_symmetric`, not at construction.
 
     Both index arrays are stored in the dtype SciPy's CSR uses for them
     (int32 when nnz and the shape fit, int64 otherwise), so the CSR matrix
@@ -51,17 +50,16 @@ class SparseOperator:
     """
 
     __slots__ = ("nrows", "ncols", "row_offsets", "col_indices", "values",
-                 "symmetric", "_csr", "_triangles", "_diag", "_lower_lu")
+                 "_csr", "_triangles", "_diag", "_lower_lu")
 
     def __init__(self, nrows, ncols, row_offsets, col_indices, values,
-                 symmetric=False, _validate=True):
+                 _validate=True):
         self.nrows = int(nrows)
         self.ncols = int(ncols)
         self.values = np.ascontiguousarray(values, dtype=np.float64)
         index_dtype = _index_dtype(self.nrows, self.ncols, len(self.values))
         self.row_offsets = np.ascontiguousarray(row_offsets, dtype=index_dtype)
         self.col_indices = np.ascontiguousarray(col_indices, dtype=index_dtype)
-        self.symmetric = bool(symmetric)
         self._csr = None
         self._triangles = None
         self._diag = None
@@ -95,35 +93,34 @@ class SparseOperator:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_scipy(cls, mat, symmetric=False):
+    def from_scipy(cls, mat):
         csr = scipy.sparse.csr_matrix(mat)
         csr.sort_indices()
         csr.sum_duplicates()
         return cls(csr.shape[0], csr.shape[1], csr.indptr.copy(),
                    csr.indices.copy(), csr.data.astype(np.float64),
-                   symmetric=symmetric, _validate=False)
+                   _validate=False)
 
     @classmethod
-    def from_dense(cls, arr, symmetric=False, keep_zeros=False):
+    def from_dense(cls, arr, keep_zeros=False):
         arr = np.asarray(arr, dtype=np.float64)
         if keep_zeros:
             nrows, ncols = arr.shape
             ro = np.arange(nrows + 1, dtype=np.int64) * ncols
             ci = np.tile(np.arange(ncols, dtype=np.int64), nrows)
-            return cls(nrows, ncols, ro, ci, arr.ravel().copy(),
-                       symmetric=symmetric, _validate=False)
-        return cls.from_scipy(scipy.sparse.csr_matrix(arr), symmetric=symmetric)
+            return cls(nrows, ncols, ro, ci, arr.ravel().copy(), _validate=False)
+        return cls.from_scipy(scipy.sparse.csr_matrix(arr))
 
     @classmethod
-    def from_coo(cls, rows, cols, vals, shape, symmetric=False):
+    def from_coo(cls, rows, cols, vals, shape):
         coo = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=shape)
-        return cls.from_scipy(coo, symmetric=symmetric)
+        return cls.from_scipy(coo)
 
     @classmethod
     def identity(cls, n):
         ro = np.arange(n + 1, dtype=np.int64)
         ci = np.arange(n, dtype=np.int64)
-        return cls(n, n, ro, ci, np.ones(n), symmetric=True, _validate=False)
+        return cls(n, n, ro, ci, np.ones(n), _validate=False)
 
     @classmethod
     def from_diagonal(cls, d):
@@ -131,7 +128,7 @@ class SparseOperator:
         n = len(d)
         ro = np.arange(n + 1, dtype=np.int64)
         ci = np.arange(n, dtype=np.int64)
-        return cls(n, n, ro, ci, d.copy(), symmetric=True, _validate=False)
+        return cls(n, n, ro, ci, d.copy(), _validate=False)
 
     # -- views -------------------------------------------------------------
 
@@ -211,8 +208,7 @@ class SparseOperator:
         return self.nnz / denom
 
     def __repr__(self):
-        return (f"SparseOperator({self.nrows}x{self.ncols}, nnz={self.nnz}, "
-                f"symmetric={self.symmetric})")
+        return f"SparseOperator({self.nrows}x{self.ncols}, nnz={self.nnz})"
 
     def matvec(self, x):
         return spmv(self, x)
@@ -261,9 +257,8 @@ def check_symmetric(A, rtol=_SYM_RTOL):
 def galerkin_triple(R, A):
     """Galerkin triple product R A R^T with the exact product pattern.
 
-    No entries are dropped.  The result carries the symmetric flag; for
-    symmetric A it is symmetrized exactly (half-sum with its transpose,
-    which only rearranges roundoff).
+    No entries are dropped.  For symmetric A the result is symmetrized
+    exactly (half-sum with its transpose, which only rearranges roundoff).
     """
     if R.ncols != A.nrows or A.nrows != A.ncols:
         raise InvalidArgumentError(
@@ -280,9 +275,9 @@ def galerkin_triple(R, A):
     else:
         prod = (R_sp @ A.to_scipy()) @ R_sp.T
         prod = 0.5 * (prod + prod.T)
-        return SparseOperator.from_scipy(prod.tocsr(), symmetric=True)
+        return SparseOperator.from_scipy(prod.tocsr())
     P = 0.5 * (P + P.T)
-    return SparseOperator.from_dense(P, symmetric=True, keep_zeros=True)
+    return SparseOperator.from_dense(P, keep_zeros=True)
 
 
 class DenseEigResult:
@@ -376,16 +371,28 @@ def dump_coordinate(A, path):
                 fh.write(f"{i} {ci[k]} {vals[k]:.17g}\n")
 
 
-def load_coordinate(path, shape, symmetric=False):
+def load_coordinate(path, shape):
+    """Read a :func:`dump_coordinate` file as a ``shape`` matrix.  A line
+    that is not "i j value", has an index outside ``shape`` or a value that
+    is not finite raises LoadError naming ``path:line``."""
     rows, cols, vals = [], [], []
     with open(path, "r", encoding="utf-8") as fh:
         for ln, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:
                 continue
-            if len(parts) != 3:
-                raise InvalidArgumentError(f"{path}:{ln}: expected 'i j value'")
-            rows.append(int(parts[0]))
-            cols.append(int(parts[1]))
-            vals.append(float(parts[2]))
-    return SparseOperator.from_coo(rows, cols, vals, shape, symmetric=symmetric)
+            try:
+                i, j, v = parts
+                i, j, v = int(i), int(j), float(v)
+            except ValueError:
+                raise LoadError(f"{path}:{ln}: expected 'i j value'") from None
+            if not (0 <= i < shape[0] and 0 <= j < shape[1]):
+                raise LoadError(
+                    f"{path}:{ln}: index ({i}, {j}) outside the "
+                    f"{shape[0]}x{shape[1]} matrix")
+            if not math.isfinite(v):
+                raise LoadError(f"{path}:{ln}: value {v!r} is not finite")
+            rows.append(i)
+            cols.append(j)
+            vals.append(v)
+    return SparseOperator.from_coo(rows, cols, vals, shape)

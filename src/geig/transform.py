@@ -179,6 +179,19 @@ def _ball_indices(parent, side, coords_y, coords_x, rad):
                           & (np.abs(coords_x - px) <= rad))
 
 
+def check_options(mode="exact", radius=_DEFAULT_RADIUS, droptol=_DEFAULT_DROPTOL,
+                  variant="adapted"):
+    """Raise InvalidArgumentError unless :func:`transform` takes these."""
+    if mode not in ("exact", "localized"):
+        raise InvalidArgumentError(f"unknown transform mode {mode!r}")
+    if variant not in ("adapted", "geometric"):
+        raise InvalidArgumentError(f"unknown transform variant {variant!r}")
+    if mode == "localized" and radius < 1:
+        raise InvalidArgumentError("localization radius must be >= 1")
+    if mode == "localized" and not 0 < droptol < np.inf:
+        raise InvalidArgumentError("droptol must be finite and positive")
+
+
 def transform(A_fine, hier, mode="exact", radius=_DEFAULT_RADIUS,
               droptol=_DEFAULT_DROPTOL, variant="adapted"):
     """Run the level-by-level decomposition of an SPD matrix.
@@ -209,12 +222,7 @@ def transform(A_fine, hier, mode="exact", radius=_DEFAULT_RADIUS,
         When a wavelet block (or a ball block of it), or a truncated coarse
         level, is not SPD; the message names the level.
     """
-    if mode not in ("exact", "localized"):
-        raise InvalidArgumentError(f"unknown transform mode {mode!r}")
-    if variant not in ("adapted", "geometric"):
-        raise InvalidArgumentError(f"unknown transform variant {variant!r}")
-    if mode == "localized" and radius < 1:
-        raise InvalidArgumentError("localization radius must be >= 1")
+    check_options(mode, radius, droptol, variant)
     if A_fine.nrows != A_fine.ncols or A_fine.nrows != hier.n_fine:
         raise InvalidArgumentError(
             f"operator is {A_fine.shape}, hierarchy expects "
@@ -328,7 +336,7 @@ def _truncate_level(A, k):
     keep = (coo.row == coo.col) | (
         np.abs(coo.data) > _LEVEL_DROP_TOL * scale[coo.row] * scale[coo.col])
     T = SparseOperator.from_coo(coo.row[keep], coo.col[keep], coo.data[keep],
-                                A.shape, symmetric=True)
+                                A.shape)
     message = f"truncated stiffness at level {k} is not positive definite"
     try:
         lu = scipy.sparse.linalg.splu(
@@ -447,11 +455,10 @@ def load_decomposition(dirpath):
     R = {}
     for k in range(1, q + 1):
         A[k] = load_coordinate(os.path.join(dirpath, f"A_{k}.txt"),
-                               shape=(sizes[k], sizes[k]), symmetric=True)
+                               shape=(sizes[k], sizes[k]))
     for k in range(2, q + 1):
         B[k] = load_coordinate(os.path.join(dirpath, f"B_{k}.txt"),
-                               shape=(hier.Ws[k].nrows, hier.Ws[k].nrows),
-                               symmetric=True)
+                               shape=(hier.Ws[k].nrows, hier.Ws[k].nrows))
         R[k] = load_coordinate(os.path.join(dirpath, f"R_{k}.txt"),
                                shape=(sizes[k - 1], sizes[k]))
     return GambletDecomposition(

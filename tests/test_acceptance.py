@@ -236,8 +236,8 @@ def test_criterion_08_algebraic_identity_suite():
         v = vecs[:, i] / np.sqrt(vecs[:, i] @ Kd @ vecs[:, i])
         w = rng.standard_normal(n)
         disc = rayleigh_quotient_expansion_check(
-            SparseOperator.from_dense(Kd, symmetric=True),
-            SparseOperator.from_dense(Md, symmetric=True),
+            SparseOperator.from_dense(Kd),
+            SparseOperator.from_dense(Md),
             (lams[i], v), w)
         worst_rq = max(worst_rq, disc / abs(lams[i]))
     rq_ok = worst_rq <= 1e-12

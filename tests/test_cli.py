@@ -1,11 +1,16 @@
 import io
 import json
+import math
 from contextlib import redirect_stdout
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from geig.cli import main, run_experiment, validate_config
+from geig.correction import McParams
+from geig.lobpcg import LobpcgParams
+from geig.multigrid import MgParams
 
 from _oracles import tensor_product_eigenvalues
 
@@ -78,6 +83,18 @@ class TestValidate:
         ({"transform": {"mode": "localized", "radius": 2.5}},
          "transform.radius"),
         (None, "config"),
+        *[(overrides, field) for v in (math.nan, math.inf, -math.inf)
+          for overrides, field in [
+              ({"mc": {"tol": v}}, "mc.tol"),
+              ({"lobpcg": {"tol": v}}, "lobpcg.tol"),
+              ({"transform": {"mode": "localized", "droptol": v}},
+               "transform.droptol"),
+              ({"mg": {"lambda_bound_factor": v}}, "mg.lambda_bound_factor"),
+              ({"problem": {"kind": "constant", "value": v}}, "problem.value"),
+          ]],
+        ({"problem": {"kind": "checkerboard", "seed": -1, "eps": 0.25}},
+         "problem"),
+        ({"mc": {"tol": 10 ** 400}}, "mc.tol"),
     ])
     def test_badly_typed_input_is_reported(self, tmp_path, capsys, overrides,
                                            field):
@@ -89,6 +106,18 @@ class TestValidate:
         assert main(["validate", str(path)]) == 1
         err = capsys.readouterr().err
         assert f"error: {field}: " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", [
+        b'{"grid_n": 1' + b"0" * 5000 + b"}",
+        b'{"grid_n": "\xff"}',
+    ], ids=["too-many-digits", "not-utf-8"])
+    def test_unreadable_config_is_reported(self, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        path.write_bytes(text)
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config is not valid JSON: ")
         assert "Traceback" not in err
 
     def test_integral_float_is_an_integer(self, tmp_path):
@@ -130,6 +159,10 @@ class TestRun:
             assert (tmp_path / "out" / name).exists()
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["config"]["grid_n"] == 16
+        for section, cls in (("mg", MgParams), ("mc", McParams),
+                             ("lobpcg", LobpcgParams)):
+            names = {f.name for f in fields(cls)} - {"mg"}
+            assert names <= set(manifest["config"][section]), section
         assert manifest["code_version"]
         assert manifest["numpy_version"] and manifest["scipy_version"]
 
@@ -211,17 +244,20 @@ class TestShippedConfigs:
 
 class TestTransformDiag:
     def test_run_reproducible_from_manifest(self, tmp_path):
-        config, _ = validate_config(
-            write_config(tmp_path, problem={"kind": "checkerboard", "seed": 9,
-                                            "eps": 0.25, "lo": 0.5, "hi": 2.0}))
-        run_experiment(config)
-        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        replay = dict(manifest["config"], output_dir=str(tmp_path / "replay"))
-        config2, errors = validate_config(replay)
-        assert errors == []
-        run_experiment(config2)
-        assert (tmp_path / "out" / "history.csv").read_bytes() == \
-            (tmp_path / "replay" / "history.csv").read_bytes()
+        for mg in ({}, {"symmetric_smoothing": True}):
+            out, replay = tmp_path / "out", tmp_path / "replay"
+            config, _ = validate_config(write_config(
+                tmp_path, mg=mg, output_dir=str(out),
+                problem={"kind": "checkerboard", "seed": 9, "eps": 0.25,
+                         "lo": 0.5, "hi": 2.0}))
+            run_experiment(config)
+            manifest = json.loads((out / "manifest.json").read_text())
+            config2, errors = validate_config(
+                dict(manifest["config"], output_dir=str(replay)))
+            assert errors == []
+            run_experiment(config2)
+            assert (out / "history.csv").read_bytes() == \
+                (replay / "history.csv").read_bytes(), mg
 
     def test_manifest_with_track_vectors_still_replays(self, tmp_path):
         """Manifests written before the level bases were derived on demand
@@ -259,6 +295,22 @@ class TestTransformDiag:
         assert report["decay"]["level"] == 2
         assert report["decay"]["slope"] < 0
         assert report["decay"]["profile"][0][0] == 0
+
+    @pytest.mark.parametrize("name, line", [
+        ("B_2.txt", "0 0 nan"),
+        ("R_2.txt", "99999 0 1.0"),
+    ], ids=["non-finite-value", "index-out-of-range"])
+    def test_diag_refuses_bad_entries(self, tmp_path, capsys, name, line):
+        assert main(["transform", str(write_config(tmp_path))]) == 0
+        path = tmp_path / "out" / "decomposition" / name
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        lines = len(path.read_text().splitlines())
+        capsys.readouterr()
+        assert main(["diag", str(tmp_path / "out" / "decomposition")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:{lines}: ")
+        assert "Traceback" not in err
 
     def test_serialize_then_diag_matches_summary(self, tmp_path):
         config, _ = validate_config(write_config(tmp_path))

@@ -104,7 +104,7 @@ class TestCoarseEigensolve:
         pencils = record_coarse_pencils(monkeypatch)
         scales = (1.0, 2.0, 3.0, 4.0)
         for scale in scales:
-            scaled = SparseOperator.from_scipy(scale * M.to_scipy(), symmetric=True)
+            scaled = SparseOperator.from_scipy(scale * M.to_scipy())
             coarse_eigensolve(dec, scaled, 1)
         base = pencils[0][1]
         for scale, (_, m_1) in zip(scales, pencils):
@@ -336,6 +336,11 @@ class TestCoarseRitzBlock:
 
 
 class TestMultilevelCorrection:
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(InvalidArgumentError):
+            McParams(tol=tol)
+
     def test_small_problem_exact_inner(self):
         K, M, dec = setup_problem(8, 2)
         params = McParams(exact_inner=True, tol=1e-13, fine_level_extra=200)
@@ -501,8 +506,8 @@ class TestRayleighExpansion:
         Kd = random_spd(12, rng)
         Md = random_spd(12, rng)
         lams, vecs = scipy.linalg.eigh(Kd, Md)
-        K = SparseOperator.from_dense(Kd, symmetric=True)
-        M = SparseOperator.from_dense(Md, symmetric=True)
+        K = SparseOperator.from_dense(Kd)
+        M = SparseOperator.from_dense(Md)
         i = 3
         v = vecs[:, i] / np.sqrt(vecs[:, i] @ Kd @ vecs[:, i])
         for _ in range(20):

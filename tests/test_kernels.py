@@ -22,7 +22,7 @@ def make_dense(n, seed):
 
 def make_csr(n, seed):
     dense = make_dense(n, seed)
-    return SparseOperator.from_dense(dense, symmetric=True), dense
+    return SparseOperator.from_dense(dense), dense
 
 
 def random_sparse():
@@ -33,12 +33,12 @@ def dense_with_zeros():
     """Every entry stored, zeros included, as galerkin_triple returns
     filled-in levels."""
     dense = make_dense(30, 2)
-    return SparseOperator.from_dense(dense, symmetric=True, keep_zeros=True), dense
+    return SparseOperator.from_dense(dense, keep_zeros=True), dense
 
 
 def contrast_1e6():
     dense = contrast_stiffness()
-    return SparseOperator.from_dense(dense, symmetric=True), dense
+    return SparseOperator.from_dense(dense), dense
 
 
 def sweep_cases():
@@ -87,7 +87,7 @@ class TestGaussSeidelSweep:
 
     def test_zero_diagonal_rejected(self):
         A = SparseOperator.from_dense(
-            [[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 2.0]], symmetric=True)
+            [[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 2.0]])
         x = np.zeros(3)
         with pytest.raises(InvalidArgumentError, match="row 1 "):
             gauss_seidel_sweep(A, x, np.ones(3))
@@ -100,6 +100,6 @@ class TestGaussSeidelSweep:
         monkeypatch.setattr(
             scipy.sparse.linalg, "splu",
             lambda A, **kw: splu(A, **{**kw, "diag_pivot_thresh": 1.0}))
-        A = SparseOperator.from_dense([[1.0, 3.0], [3.0, 10.0]], symmetric=True)
+        A = SparseOperator.from_dense([[1.0, 3.0], [3.0, 10.0]])
         with pytest.raises(InvalidArgumentError, match="natural order"):
             gauss_seidel_sweep(A, np.zeros(2), np.ones(2))

@@ -47,8 +47,8 @@ class TestRayleighQuotient:
         rng = np.random.default_rng(0)
         Kd, Md = random_spd(8, rng), random_spd(8, rng)
         lams = scipy.linalg.eigh(Kd, Md, eigvals_only=True)
-        K = SparseOperator.from_dense(Kd, symmetric=True)
-        M = SparseOperator.from_dense(Md, symmetric=True)
+        K = SparseOperator.from_dense(Kd)
+        M = SparseOperator.from_dense(Md)
         for _ in range(50):
             x = rng.standard_normal(8)
             mu = rayleigh_quotient(x, K, M)
@@ -211,6 +211,11 @@ class TestLobpcg:
                    LobpcgParams(tol=1e-12, maxit=2))
         assert err.value.history is not None
         assert err.value.result is not None
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(InvalidArgumentError):
+            LobpcgParams(tol=tol)
 
 
 class TestHybrid:

@@ -36,7 +36,7 @@ class TestLambdaBound:
         n = 5
         T = (np.diag(2.0 * np.ones(n)) + np.diag(-np.ones(n - 1), 1)
              + np.diag(-np.ones(n - 1), -1))
-        A = SparseOperator.from_dense(T, symmetric=True)
+        A = SparseOperator.from_dense(T)
         bound = estimate_lambda_bound(A)
         assert bound == 4.0
         assert bound >= tridiag_laplacian_spectrum(n)[-1]
@@ -44,11 +44,16 @@ class TestLambdaBound:
     def test_bounds_rayleigh_quotients(self):
         rng = np.random.default_rng(31)
         d = rng.standard_normal((15, 15))
-        A = SparseOperator.from_dense(0.5 * (d + d.T), symmetric=True)
+        A = SparseOperator.from_dense(0.5 * (d + d.T))
         bound = estimate_lambda_bound(A)
         for _ in range(20):
             x = rng.standard_normal(15)
             assert bound >= np.linalg.norm(spmv(A, x)) / np.linalg.norm(x)
+
+    @pytest.mark.parametrize("factor", [np.nan, np.inf, 0.5])
+    def test_factor_must_be_finite_and_at_least_one(self, factor):
+        with pytest.raises(InvalidArgumentError):
+            MgParams(lambda_bound_factor=factor)
 
 
 class TestMg:

@@ -56,7 +56,7 @@ class TestSparseOperator:
     def test_strict_triangles_share_one_copy(self):
         a = random_spd(6, np.random.default_rng(4))
         a = 0.5 * (a + a.T)
-        lower, upper = SparseOperator.from_dense(a, symmetric=True) \
+        lower, upper = SparseOperator.from_dense(a) \
             .strict_triangles()
         np.testing.assert_array_equal(upper.toarray(), np.triu(a, 1))
         np.testing.assert_array_equal(lower.toarray(), np.tril(a, -1))
@@ -64,7 +64,7 @@ class TestSparseOperator:
 
     def test_symmetric_flag_check(self):
         a = random_spd(6, np.random.default_rng(1))
-        op = SparseOperator.from_dense(a, symmetric=True)
+        op = SparseOperator.from_dense(a)
         assert check_symmetric(op)
         b = a.copy()
         b[0, 1] += 1.0
@@ -127,7 +127,7 @@ class TestSpmv:
 class TestGalerkinTriple:
     def test_identity_restriction(self):
         rng = np.random.default_rng(3)
-        A = SparseOperator.from_dense(random_spd(6, rng), symmetric=True)
+        A = SparseOperator.from_dense(random_spd(6, rng))
         out = galerkin_triple(SparseOperator.identity(6), A)
         np.testing.assert_allclose(out.to_dense(), A.to_dense(), rtol=0, atol=1e-15)
 
@@ -144,7 +144,7 @@ class TestGalerkinTriple:
         Rd[np.abs(Rd) < 0.8] = 0.0
         Ad = random_spd(8, rng)
         out = galerkin_triple(SparseOperator.from_dense(Rd),
-                              SparseOperator.from_dense(Ad, symmetric=True))
+                              SparseOperator.from_dense(Ad))
         expected = Rd @ Ad @ Rd.T
         err = np.linalg.norm(out.to_dense() - expected) / np.linalg.norm(expected)
         assert err <= 1e-12
@@ -152,7 +152,7 @@ class TestGalerkinTriple:
     def test_output_symmetric_to_machine_precision(self):
         rng = np.random.default_rng(12)
         Rd = rng.standard_normal((5, 9))
-        A = SparseOperator.from_dense(random_spd(9, rng), symmetric=True)
+        A = SparseOperator.from_dense(random_spd(9, rng))
         out = galerkin_triple(SparseOperator.from_dense(Rd), A)
         d = out.to_dense()
         np.testing.assert_array_equal(d, d.T)
@@ -175,7 +175,7 @@ class TestGalerkinTriple:
             Ad = (np.diag(np.full(n, 4.0)) - np.diag(np.ones(n - 1), 1)
                   - np.diag(np.ones(n - 1), -1))
         R = SparseOperator.from_dense(Rd)
-        A = SparseOperator.from_dense(Ad, symmetric=True)
+        A = SparseOperator.from_dense(Ad)
         assert (R.fill_fraction() > _DENSE_FILL_THRESHOLD) == r_filled
         assert (A.fill_fraction() > _DENSE_FILL_THRESHOLD) == a_filled
         out = galerkin_triple(R, A).to_dense()
@@ -258,7 +258,7 @@ class TestDirectSolve:
     def test_residual_random_spd(self):
         rng = np.random.default_rng(9)
         dense = random_spd(20, rng)
-        A = SparseOperator.from_dense(dense, symmetric=True)
+        A = SparseOperator.from_dense(dense)
         b = rng.standard_normal(20)
         x = make_direct_solver(A)(b)
         assert np.linalg.norm(dense @ x - b) <= 1e-12 * np.linalg.norm(b)

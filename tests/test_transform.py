@@ -42,7 +42,7 @@ class TestOracle:
     def test_identity_aggregation(self):
         rng = np.random.default_rng(0)
         d = rng.standard_normal((6, 6))
-        A = SparseOperator.from_dense(d @ d.T + 6 * np.eye(6), symmetric=True)
+        A = SparseOperator.from_dense(d @ d.T + 6 * np.eye(6))
         theta, a_k = oracle_level_matrices(A, SparseOperator.identity(6))
         np.testing.assert_allclose(theta, np.linalg.inv(A.to_dense()),
                                    atol=1e-12)
@@ -230,6 +230,12 @@ class TestLocalized:
         with pytest.raises(InvalidArgumentError):
             transform(K, hier, mode="localized", radius=0)
 
+    @pytest.mark.parametrize("droptol", [np.nan, np.inf, 0.0])
+    def test_bad_droptol(self, droptol):
+        K, _, hier = make_problem(8, 2)
+        with pytest.raises(InvalidArgumentError):
+            transform(K, hier, mode="localized", droptol=droptol)
+
 
 def checker_problem(n, q, seed):
     """Contrast-400 checkerboard of 1/8 blocks: stiffness, mass, hierarchy."""
@@ -307,7 +313,7 @@ class TestLevelTruncation:
         kept = full.copy()
         kept[1, 2] = kept[2, 1] = 0.0
         assert np.linalg.eigvalsh(full)[0] > 0 > np.linalg.eigvalsh(kept)[0]
-        A = SparseOperator.from_dense(full, symmetric=True)
+        A = SparseOperator.from_dense(full)
         with pytest.raises(NotPositiveDefiniteError, match="level 2"):
             _truncate_level(A, 2)
 
@@ -341,7 +347,7 @@ def shifted_to_indefinite(A0, hier):
     dense = A0.to_dense() - c * np.eye(A0.nrows)
     lams = np.linalg.eigvalsh(dense)
     assert lams[0] < 0 < lams[-1]
-    return SparseOperator.from_dense(dense, symmetric=True), B0
+    return SparseOperator.from_dense(dense), B0
 
 
 class TestIndefiniteInput:
@@ -354,8 +360,7 @@ class TestIndefiniteInput:
             # a dense SPD term fills the wavelet block in
             rng = np.random.default_rng(4)
             A0 = SparseOperator.from_dense(
-                K.to_dense() + 1e-3 * random_spd(K.nrows, rng) / K.nrows,
-                symmetric=True)
+                K.to_dense() + 1e-3 * random_spd(K.nrows, rng) / K.nrows)
         A, B0 = shifted_to_indefinite(A0, hier)
         assert (B0.fill_fraction() > _DENSE_BLOCK_FILL) == (branch == "dense")
         with pytest.raises(NotPositiveDefiniteError, match="level 3"):
