@@ -253,16 +253,23 @@ def rayleigh_ritz(A_sp, M_sp, V, fixed=None):
     return lams, fixed.Q @ C[:m] + Z @ C[m:], np.vstack([a, b])
 
 
-def _match_clusters(lams, X, Y_old, M_sp):
+def _match_clusters(lams, old_lams, X, Y_old, M_sp):
     """Order of the Ritz pairs that keeps ascending values but, inside each
-    near-degenerate cluster, gives every incoming vector the new vector it
-    overlaps most."""
+    cluster of unresolved values, gives every incoming vector the new vector
+    it overlaps most.
+
+    Neighbouring values are unresolved while their relative gap is below
+    the larger of ``_CLUSTER_RTOL`` and the sweep's largest relative change
+    from ``old_lams``: until the values settle, their order does not tell
+    which vector is which."""
     nev = len(lams)
+    change = np.abs(lams - np.sort(old_lams)) / np.abs(lams)
+    rtol = max(_CLUSTER_RTOL, change.max())
     order = list(range(nev))
     i = 0
     while i < nev:
         j = i + 1
-        while j < nev and abs(lams[j] - lams[j - 1]) < _CLUSTER_RTOL * abs(lams[j]):
+        while j < nev and abs(lams[j] - lams[j - 1]) < rtol * abs(lams[j]):
             j += 1
         if j - i > 1:
             ov = np.abs(Y_old[:, i:j].T @ (M_sp @ X[:, i:j]))
@@ -314,7 +321,7 @@ def correct_block(k, lams, Y, Yf, dec, M, params, block):
         v_hat[:, j] = _solve_level(k, rhs[:, j], Y[:, j], dec, params)
     ritz, Xf, C = rayleigh_ritz(K_sp, M_sp, dec.prolong(k, v_hat),
                                 fixed=block)
-    order = _match_clusters(ritz, Xf, Yf, M_sp)
+    order = _match_clusters(ritz, lams, Xf, Yf, M_sp)
     new_lams, Xf, C = ritz[order], Xf[:, order], C[:, order]
     KXf = K_sp @ Xf
     MXf = M_sp @ Xf

@@ -6,7 +6,8 @@ R = pi (I - A W^T B^{-1} W), and coarsens A through the Galerkin triple
 product.  The B-inverse applications are LAPACK Cholesky solves: exact
 mode factors all of B once; localized mode factors B restricted to a
 lattice ball around each coarse cell (the exact energy minimizer on that
-subdomain) and thresholds the resulting interpolation entries.  Localized
+subdomain) and drops the resulting interpolation entries that are
+negligible against the largest entry of their row.  Localized
 mode also truncates each coarse level A_{k-1}: it drops the off-diagonal
 entries that are negligible against the diagonal, which the exponential
 decay of the gamblet level matrices allows, and checks by a sparse
@@ -48,6 +49,14 @@ _DENSE_BLOCK_ROWS = 6000
 # Localized mode drops the off-diagonal entries a_ij of each coarse level
 # with |a_ij| <= _LEVEL_DROP_TOL * sqrt(a_ii a_jj).
 _LEVEL_DROP_TOL = 1e-4
+# Localized mode drops the entries r_ij of each interpolation with
+# |r_ij| <= max(droptol, _INTERP_DROP_TOL * max_j |r_ij|).
+_INTERP_DROP_TOL = 1e-4
+# Localized mode's ball radius, in parent cells, is radius x the child
+# level's dyadic depth, the depth capped at _BALL_DEPTH_CAP; the cap bounds
+# each row's cost, so the transform grows about linearly with the unknowns
+# (README, Notes).
+_BALL_DEPTH_CAP = 4
 # Right-hand sides per solve with the factored block in exact mode; keeps
 # the dense work arrays at (block rows) x _EXACT_BLOCK_COLUMNS.
 _EXACT_BLOCK_COLUMNS = 256
@@ -173,10 +182,19 @@ def _cholesky(B, k, banded):
             "the input operator must be SPD") from exc
 
 
-def _ball_indices(parent, side, coords_y, coords_x, rad):
+def _ball_indices(parent, side, first, rad):
+    """Wavelets whose parent cell lies within ``rad`` cells of cell
+    ``parent`` in both lattice directions, in ascending order.
+
+    Wavelets are numbered by parent cell, row-major, and the wavelets of
+    cell c are ``first[c]:first[c + 1]``, so the ball is one contiguous
+    range per lattice row.
+    """
     py, px = divmod(parent, side)
-    return np.flatnonzero((np.abs(coords_y - py) <= rad)
-                          & (np.abs(coords_x - px) <= rad))
+    x0, x1 = max(px - rad, 0), min(px + rad, side - 1)
+    return np.concatenate([
+        np.arange(first[y * side + x0], first[y * side + x1 + 1])
+        for y in range(max(py - rad, 0), min(py + rad, side - 1) + 1)])
 
 
 def check_options(mode="exact", radius=_DEFAULT_RADIUS, droptol=_DEFAULT_DROPTOL,
@@ -204,9 +222,11 @@ def transform(A_fine, hier, mode="exact", radius=_DEFAULT_RADIUS,
     mode : "exact" or "localized"
         Exact mode keeps every interpolation entry and solves with the
         whole wavelet block; its levels are the exact Galerkin hierarchy.
-        Localized mode restricts each block solve to a lattice ball (radius
-        grows linearly with dyadic depth) and drops interpolation entries
-        at or below ``droptol``.  It then truncates each coarse level A_k,
+        Localized mode restricts each block solve to a lattice ball of
+        ``radius`` times min(level's dyadic depth, ``_BALL_DEPTH_CAP``)
+        parent cells, and drops each interpolation entry at or below the
+        larger of ``droptol`` and ``_INTERP_DROP_TOL`` times the largest
+        magnitude in its row.  It then truncates each coarse level A_k,
         k < q, to its diagonal and the off-diagonal entries with
         |a_ij| > ``_LEVEL_DROP_TOL`` sqrt(a_ii a_jj), checks that the result
         is SPD, and builds the next level from it.  The fine level A_q is
@@ -263,9 +283,11 @@ def _adapted_interpolation(A_k, B_k, W, pi, hier, k, mode, radius, droptol):
     Row i is pi_i - (W^T y_i)^T with B y_i = W A pi_i^T; all right-hand
     sides come from one sparse product.  Exact mode factors the whole block
     once and solves the right-hand sides in column blocks.  Localized mode
-    solves each row exactly on the wavelets whose parent cell lies within a
-    lattice ball of the row's cell, then drops entries at or below
-    ``droptol``.
+    solves each row exactly on the wavelets whose parent cell lies within
+    ceil(``radius`` x min(depth, ``_BALL_DEPTH_CAP``)) lattice cells of the
+    row's cell, depth the dyadic depth of level k, then drops the
+    entries at or below max(``droptol``, ``_INTERP_DROP_TOL`` x the row's
+    largest magnitude).
     """
     n_coarse, n_k = pi.shape
     W_sp = W.to_scipy()
@@ -285,16 +307,15 @@ def _adapted_interpolation(A_k, B_k, W, pi, hier, k, mode, radius, droptol):
                 pi_sp[cols].toarray() - (W_sp.T @ Y).T))
         return SparseOperator.from_scipy(scipy.sparse.vstack(blocks))
 
-    depth_child = hier.level_depth(k)
-    rho_child = 2 * radius * depth_child
-    rad_par = max(1, int(np.ceil(rho_child / 2.0)))
+    depth = min(hier.level_depth(k), _BALL_DEPTH_CAP)
+    rad_par = max(1, int(np.ceil(radius * depth)))
     side = 2 ** hier.level_depth(k - 1)
-    wp_y, wp_x = np.divmod(hier.wavelet_parent[k], side)
+    first = np.searchsorted(hier.wavelet_parent[k], np.arange(n_coarse + 1))
     balls = []
     sols = []
     w = np.zeros(B_k.nrows)
     for i in range(n_coarse):
-        ball = _ball_indices(i, side, wp_y, wp_x, rad_par)
+        ball = _ball_indices(i, side, first, rad_par)
         B_ball = B[np.ix_(ball, ball)] if filled else _ball_band(B, ball)
         lo, hi = rhs.indptr[i], rhs.indptr[i + 1]
         w[rhs.indices[lo:hi]] = rhs.data[lo:hi]
@@ -306,7 +327,11 @@ def _adapted_interpolation(A_k, B_k, W, pi, hier, k, mode, radius, droptol):
         (np.concatenate(sols), np.concatenate(balls), offsets),
         shape=(B_k.nrows, n_coarse))
     R = (pi_sp - (W_sp.T @ Y).T).tocsr()
-    R.data[np.abs(R.data) <= droptol] = 0.0
+    # no row is empty, since pi R^T = I
+    size = np.abs(R.data)
+    row_max = np.maximum.reduceat(size, R.indptr[:-1])
+    cut = np.maximum(droptol, _INTERP_DROP_TOL * row_max)
+    R.data[size <= np.repeat(cut, np.diff(R.indptr))] = 0.0
     R.eliminate_zeros()
     return SparseOperator.from_scipy(R)
 

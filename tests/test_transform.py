@@ -11,7 +11,9 @@ from geig.hierarchy import build_hierarchy
 from geig.lobpcg import GambletPreconditioner, LobpcgParams, lobpcg
 from geig.sparse import SparseOperator, dump_coordinate, galerkin_triple
 from geig.transform import (
+    _BALL_DEPTH_CAP,
     _DENSE_BLOCK_FILL,
+    _INTERP_DROP_TOL,
     _LEVEL_DROP_TOL,
     _truncate_level,
     decay_profile,
@@ -202,28 +204,43 @@ class TestLocalized:
         loc = transform(K, hier, mode="localized", radius=2, droptol=1e-7)
         assert loc.R[4].nnz < exact.R[4].nnz
 
+    def test_radius_widens_the_balls(self):
+        """The depth cap bounds the ball, yet a larger radius still gives
+        larger balls, here at a level whose depth exceeds the cap."""
+        K, _, hier = checker_problem(32, 4, seed=4)
+        assert hier.level_depth(4) > _BALL_DEPTH_CAP
+        nnz = [transform(K, hier, mode="localized", radius=r).R[4].nnz
+               for r in (1, 2)]
+        assert nnz[1] > nnz[0]
+
     def test_rows_are_exact_ball_solves(self):
-        grid = Grid(16)
-        field = gen_checkerboard(seed=5, eps=1.0 / 8, lo=0.05, hi=20.0,
-                                 grid=grid)
-        K, _ = assemble(grid, field)
-        hier = build_hierarchy(3, grid)
+        """Each row is the exact solve on its ball, found by the oracle's
+        scan of the whole level; at grid 32 the finest level's depth, 5,
+        exceeds the cap, so the ball there is capped."""
         radius = 1
-        dec = transform(K, hier, mode="localized", radius=radius)
-        for k in (2, 3):
-            # the ball radius in parent cells is radius x the level's depth
-            ref = reference_localized_interpolation(
-                dec.A[k].to_dense(), hier.Ws[k].to_dense(),
-                hier.pis[k - 2].to_dense(), hier.wavelet_parent[k],
-                radius * hier.level_depth(k))
-            R = dec.R[k].to_scipy()
-            kept = np.zeros(R.shape, dtype=bool)
-            kept[R.nonzero()] = True
-            scale = np.abs(ref).max()
-            err = np.abs(R.toarray() - ref)
-            assert err[kept].max() <= 1e-12 * scale, f"level {k}"
-            # only entries at or below droptol are left out
-            assert err[~kept].max(initial=0.0) <= dec.droptol, f"level {k}"
+        for n, q in ((16, 3), (32, 4)):
+            K, _, hier = checker_problem(n, q, seed=5)
+            dec = transform(K, hier, mode="localized", radius=radius)
+            for k in range(2, q + 1):
+                # the ball radius in parent cells is radius x the level's
+                # depth, the depth capped
+                rad = radius * min(hier.level_depth(k), _BALL_DEPTH_CAP)
+                ref = reference_localized_interpolation(
+                    dec.A[k].to_dense(), hier.Ws[k].to_dense(),
+                    hier.pis[k - 2].to_dense(), hier.wavelet_parent[k], rad)
+                R = dec.R[k].to_scipy()
+                kept = np.zeros(R.shape, dtype=bool)
+                kept[R.nonzero()] = True
+                scale = np.abs(ref).max()
+                err = np.abs(R.toarray() - ref)
+                where = f"grid {n}, level {k}"
+                assert err[kept].max() <= 1e-12 * scale, where
+                # only entries at or below max(droptol, tau x the row's
+                # largest magnitude) are left out
+                bound = np.maximum(dec.droptol,
+                                   _INTERP_DROP_TOL * np.abs(ref).max(axis=1))
+                omitted = np.where(kept, 0.0, err)
+                assert np.all(omitted.max(axis=1) <= bound), where
 
     def test_bad_radius(self):
         K, _, hier = make_problem(8, 2)
